@@ -10,7 +10,7 @@ Modules
 -------
 sfunc
     Exact special-function layer: meromorphic functions of the zeta variable,
-    contour residues, Gaussian-type momenta, high-precision Riemann zeta.
+    contour residues, Gaussian-type momenta, Riemann zeta (mpmath).
 symbolcas
     Pseudodifferential symbol calculus in boundary normal coordinates: symbol
     algebra, the quadratic symbol identity for the DtN operator, resolvent
@@ -19,7 +19,7 @@ symbolint
     Fiberwise integration of the parametrix: contour and momentum integrals,
     the eleven-piece trace table in dimension 3, closed-form densities.
 spectra
-    Closed-form model spectra (circle, cylinder, disk) as lazy streams.
+    Closed-form model spectra (circle, cylinder, disk) as structured data.
 zetadet
     Spectral zeta functions, zeta-regularized determinants, and the cylinder
     verification drivers.
@@ -33,7 +33,6 @@ cli
 from .sfunc import SFunction, gamma_ratio_at_zero, mu_residue, riemann_zeta, xi_moment
 from .spectra import (
     DtnProductSpectrum,
-    ExplicitSpectrum,
     PowerSpectrum,
     ProductSpectrum,
     circle_form_spectrum,
@@ -52,7 +51,6 @@ __all__ = [
     "riemann_zeta",
     "xi_moment",
     "PowerSpectrum",
-    "ExplicitSpectrum",
     "ProductSpectrum",
     "DtnProductSpectrum",
     "circle_form_spectrum",

@@ -295,8 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="built-in geometry name (unit-disk, unit-ball, cylinder)")
     parser.add_argument("--file", default="", help="geometry JSON file")
     parser.add_argument("--output", default="", help="write the JSON report here")
-    parser.add_argument("--dps", type=int,
-                        default=int(os.environ.get("DTNZETA_DPS", "30")),
+    parser.add_argument("--dps", type=int, default=30,
                         help="working precision in decimal digits")
     return parser
 

@@ -33,7 +33,6 @@ __all__ = [
     "GeometrySpec",
     "HarmonicBasis",
     "BoundaryNode",
-    "mean_curvatures",
     "a0_constant",
     "zeta0_constant",
     "det_s",
@@ -152,25 +151,8 @@ class HarmonicBasis:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise curvature functions
+# Curvature-integral constants
 # ---------------------------------------------------------------------------
-
-def mean_curvatures(kappas: tuple[float, ...], m: int) -> tuple[float, float | None]:
-    """Normalized first and second mean curvatures from principal curvatures.
-
-    ``H1`` is the mean of the principal curvatures; ``H2`` (only defined for
-    ``m >= 3``) the normalized second elementary symmetric function.
-    """
-    if len(kappas) != m - 1:
-        raise ValueError("expected m-1 principal curvatures")
-    H1 = sum(kappas) / (m - 1)
-    if m == 2:
-        return H1, None
-    pairs = sum(kappas[i] * kappas[j]
-                for i in range(m - 1) for j in range(i + 1, m - 1))
-    H2 = 2.0 * pairs / ((m - 1) * (m - 2))
-    return H1, H2
-
 
 @lru_cache(maxsize=None)
 def _density_fn(m: int, q: int, kind: str):

@@ -6,16 +6,15 @@ expansion is turned into a spectral density:
 * ``SFunction`` -- a thin wrapper around a sympy expression in the complex
   variable ``s`` built from rational functions, exponential scalings ``c**(-s)``
   and Gamma-function ratios.  It supports exact evaluation, exact derivative at
-  ``s = 0`` and high-precision numeric evaluation.
+  a point and high-precision numeric evaluation.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
   expressed as a prefactor in ``s`` times a power of ``z``.
 * ``xi_moment`` -- the exact monomial moment
   ``(2 pi)^{-d} int xi^e (1 + |xi|^2)^{-P} dxi`` over ``R^d``.
-* ``beta_moment`` -- the Beta-integral ``int_0^oo t^{a-1} (1+t)^{-a-b} dt``.
-* ``riemann_zeta`` / ``zeta_deriv_at`` -- an Euler-Maclaurin implementation of
-  the Riemann zeta function with explicit truncation control.
+* ``riemann_zeta`` / ``zeta_deriv_at`` -- the Riemann zeta function and its
+  derivative at a requested working precision (``mpmath.zeta``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "gamma_ratio_at_zero",
     "mu_residue",
     "xi_moment",
-    "beta_moment",
     "riemann_zeta",
     "zeta_deriv_at",
 ]
@@ -56,49 +54,12 @@ class DivergentMomentError(ValueError):
 class SFunction:
     """A meromorphic function of ``s`` with exact sympy backing.
 
-    Instances are closed under sum/product/scalar multiplication.  The three
-    atom shapes produced by the pipeline are rational functions of ``s``,
+    The atom shapes produced by the pipeline are rational functions of ``s``,
     exponential scalings ``c**(-s)`` and ratios ``Gamma(s + p)/Gamma(s + q)``.
     """
 
     expr: sp.Expr
 
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def from_expr(expr) -> "SFunction":
-        return SFunction(sp.sympify(expr))
-
-    @staticmethod
-    def rational(num, den=1) -> "SFunction":
-        """Rational function of ``s`` from numerator and denominator."""
-        return SFunction(sp.cancel(sp.sympify(num) / sp.sympify(den)))
-
-    @staticmethod
-    def power_scale(c) -> "SFunction":
-        """The function ``c**(-s)`` for a positive constant ``c``."""
-        c = sp.sympify(c)
-        return SFunction(c ** (-S))
-
-    @staticmethod
-    def gamma_ratio(p, q) -> "SFunction":
-        """The ratio ``Gamma(s + p) / Gamma(s + q)``."""
-        return SFunction(sp.gamma(S + sp.sympify(p)) / sp.gamma(S + sp.sympify(q)))
-
-    # -- algebra -----------------------------------------------------------
-    def __add__(self, other: "SFunction") -> "SFunction":
-        return SFunction(self.expr + other.expr)
-
-    def __sub__(self, other: "SFunction") -> "SFunction":
-        return SFunction(self.expr - other.expr)
-
-    def __mul__(self, other) -> "SFunction":
-        if isinstance(other, SFunction):
-            return SFunction(self.expr * other.expr)
-        return SFunction(self.expr * sp.sympify(other))
-
-    __rmul__ = __mul__
-
-    # -- evaluation --------------------------------------------------------
     def value_at(self, s0) -> sp.Expr:
         """Exact value at ``s = s0`` (limit if removable)."""
         s0 = sp.sympify(s0)
@@ -128,9 +89,6 @@ class SFunction:
         with mp.workdps(dps):
             f = sp.lambdify(S, self.expr, modules="mpmath")
             return f(mp.mpf(s0))
-
-    def simplified(self) -> "SFunction":
-        return SFunction(sp.gammasimp(sp.cancel(sp.together(self.expr))))
 
 
 # ---------------------------------------------------------------------------
@@ -227,61 +185,24 @@ def xi_moment(dim: int, exponents: tuple[int, ...], p_expr) -> sp.Expr:
     return (2 * sp.pi) ** (-dim) * gam_prod * sp.gamma(P - A - sp.Rational(dim, 2)) / sp.gamma(P)
 
 
-def beta_moment(a, b) -> sp.Expr:
-    """Exact value of ``int_0^oo t^{a-1} (1+t)^{-a-b} dt = Gamma(a)Gamma(b)/Gamma(a+b)``."""
-    a, b = sp.sympify(a), sp.sympify(b)
-    for v in (a, b):
-        if v.is_number and not v.is_positive:
-            raise DomainError(f"beta moment needs positive arguments, got {v}")
-    return sp.gamma(a) * sp.gamma(b) / sp.gamma(a + b)
-
-
 # ---------------------------------------------------------------------------
-# Riemann zeta via Euler-Maclaurin
+# Riemann zeta
 # ---------------------------------------------------------------------------
 
-_EM_TERMS = 50
-_EM_BERNOULLI_ORDER = 10  # uses B_2 .. B_20
-
-
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    b = sp.bernoulli(n)
-    return Fraction(int(b.p), int(b.q))
-
-
-def riemann_zeta(s, dps: int = 40) -> mp.mpf:
-    """Riemann zeta by Euler-Maclaurin summation.
-
-    ``zeta(s) = sum_{n<N} n^{-s} + N^{-s}/2 + N^{1-s}/(s-1)
-    + sum_j B_{2j}/(2j)! * (s)_{2j-1} * N^{-s-2j+1}``
-    with ``N = 50`` direct terms and Bernoulli corrections through ``B_20``,
-    valid (to working precision) for real ``s > -19`` away from ``s = 1``.
-    """
-    with mp.workdps(dps + 10):
-        sv = mp.mpf(s) if not isinstance(s, mp.mpc) else mp.mpc(s)
+def _zeta(s, dps: int, derivative: int) -> mp.mpf:
+    with mp.workdps(dps):
+        sv = mp.mpf(s)
         if sv == 1:
             raise DomainError("zeta has a pole at s = 1")
-        N = _EM_TERMS
-        total = mp.fsum(mp.power(n, -sv) for n in range(1, N))
-        total += mp.power(N, -sv) / 2
-        total += mp.power(N, 1 - sv) / (sv - 1)
-        for j in range(1, _EM_BERNOULLI_ORDER + 1):
-            b = _bernoulli(2 * j)
-            coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-            # rising factorial s (s+1) ... (s + 2j - 2)
-            rf = mp.mpf(1)
-            for i in range(2 * j - 1):
-                rf *= sv + i
-            total += coeff * rf * mp.power(N, -sv - 2 * j + 1)
-        result = total
+        result = mp.zeta(sv, derivative=derivative)
     return +result
 
 
+def riemann_zeta(s, dps: int = 40) -> mp.mpf:
+    """Riemann zeta at real ``s != 1``, computed with ``dps`` working digits."""
+    return _zeta(s, dps, 0)
+
+
 def zeta_deriv_at(s0, dps: int = 40) -> mp.mpf:
-    """Derivative of Riemann zeta; at ``s0 = 0`` the exact constant ``-ln(2 pi)/2``."""
-    with mp.workdps(dps):
-        if mp.mpf(s0) == 0:
-            return -mp.log(2 * mp.pi) / 2
-        h = mp.mpf(10) ** (-(dps // 3))
-        return (riemann_zeta(mp.mpf(s0) + h, dps + 10) - riemann_zeta(mp.mpf(s0) - h, dps + 10)) / (2 * h)
+    """Derivative of Riemann zeta at real ``s0 != 1`` with ``dps`` working digits."""
+    return _zeta(s0, dps, 1)

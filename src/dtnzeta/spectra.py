@@ -11,20 +11,18 @@ determinant-gluing and zeta-at-zero identities are verified numerically:
   cylinder at zero spectral parameter, with its paired-branch structure;
 * ``disk_steklov_spectrum`` -- the Steklov (DtN) spectrum of a disk.
 
-Each stream knows its structural tag, its kernel dimension, and can lazily
-enumerate ``(eigenvalue, multiplicity)`` pairs up to a cutoff.  Explicit
-finite lists round-trip through JSON.
+Each spectrum is a closed-form description (coefficients, multiplicities,
+kernel dimension) that :mod:`dtnzeta.zetadet` evaluates directly; no
+eigenvalues are enumerated.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PowerSpectrum",
-    "ExplicitSpectrum",
     "ProductSpectrum",
     "DtnProductSpectrum",
     "circle_form_spectrum",
@@ -38,9 +36,8 @@ __all__ = [
 class PowerSpectrum:
     """Eigenvalues ``coeff * k**power`` for ``k >= 1``, constant multiplicity.
 
-    The ``kernel_dim`` zero modes are stored separately and never enumerated.
-    Structural tag: ``affine-zeta`` (its zeta function is an exact multiple of
-    a rescaled Riemann zeta).
+    The ``kernel_dim`` zero modes are stored separately.  Its zeta function
+    is an exact multiple of a rescaled Riemann zeta.
     """
 
     coeff: float
@@ -48,64 +45,6 @@ class PowerSpectrum:
     mult: int
     kernel_dim: int
     label: str = ""
-    tag: str = field(default="affine-zeta", init=False)
-
-    def eigenvalues(self, cutoff: float):
-        k = 1
-        while True:
-            lam = self.coeff * k ** self.power
-            if lam > cutoff:
-                return
-            yield lam, self.mult
-            k += 1
-
-    def counting(self, cutoff: float) -> int:
-        n = sum(m for _, m in self.eigenvalues(cutoff))
-        return n
-
-
-@dataclass(frozen=True)
-class ExplicitSpectrum:
-    """A finite explicit list of ``(eigenvalue, multiplicity)`` pairs."""
-
-    entries: tuple[tuple[float, int], ...]
-    kernel_dim: int
-    dim: int = 1
-    degree: int = 0
-    betti: int = 0
-    label: str = ""
-    tag: str = field(default="explicit-list", init=False)
-
-    def eigenvalues(self, cutoff: float):
-        for lam, m in self.entries:
-            if lam <= cutoff:
-                yield lam, m
-
-    def to_json(self) -> str:
-        payload = {
-            "tag": self.tag,
-            "dim": self.dim,
-            "degree": self.degree,
-            "betti": self.betti,
-            "kernel_dim": self.kernel_dim,
-            "label": self.label,
-            "entries": [{"eigenvalue": lam, "multiplicity": m} for lam, m in self.entries],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "ExplicitSpectrum":
-        payload = json.loads(text)
-        if payload.get("tag") != "explicit-list":
-            raise ValueError("not an explicit spectrum payload")
-        return ExplicitSpectrum(
-            entries=tuple((e["eigenvalue"], e["multiplicity"]) for e in payload["entries"]),
-            kernel_dim=payload["kernel_dim"],
-            dim=payload["dim"],
-            degree=payload["degree"],
-            betti=payload["betti"],
-            label=payload.get("label", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,14 +54,13 @@ class ProductSpectrum:
     With absolute boundary conditions the degree-``q`` cross-section family
     carries interval modes ``(k pi / a)**2`` for ``k >= 0`` and the degree
     ``q-1`` family for ``k >= 1``; with Dirichlet conditions both families
-    start at ``k = 1``.  Structural tag: ``product-lattice``.
+    start at ``k = 1``.
     """
 
     a: float
     bc: str  # "absolute" | "dirichlet"
     base_q: PowerSpectrum
     base_qm1: PowerSpectrum | None
-    tag: str = field(default="product-lattice", init=False)
 
     def __post_init__(self):
         if self.bc not in ("absolute", "dirichlet"):
@@ -133,23 +71,11 @@ class ProductSpectrum:
         return self.base_q.kernel_dim if self.bc == "absolute" else 0
 
     def _families(self):
-        """Yield ``(base_spectrum, k_start, include_base_kernel)`` per family."""
+        """Yield ``(base_spectrum, k_start)`` per family."""
         k0 = 0 if self.bc == "absolute" else 1
         yield self.base_q, k0
         if self.base_qm1 is not None:
             yield self.base_qm1, 1
-
-    def eigenvalues(self, cutoff: float):
-        """All positive eigenvalues up to ``cutoff`` (unsorted, with mult)."""
-        step = (math.pi / self.a) ** 2
-        for base, k0 in self._families():
-            kmax = int(math.floor(math.sqrt(max(cutoff, 0.0)) * self.a / math.pi))
-            for k in range(k0, kmax + 1):
-                interval = step * k ** 2
-                if base.kernel_dim and interval > 0 and interval <= cutoff:
-                    yield interval, base.kernel_dim
-                for lam, m in base.eigenvalues(cutoff - interval):
-                    yield lam + interval, m
 
 
 @dataclass(frozen=True)
@@ -159,32 +85,15 @@ class DtnProductSpectrum:
     Besides the ``kernel_dim`` zero modes and their paired ``2/a`` branch, each
     positive cross-section eigenvalue ``lam`` contributes the branch pair
     ``sqrt(lam) (1 + 2/(e^x - 1))`` and ``sqrt(lam) (1 - 2/(e^x + 1))`` with
-    ``x = a sqrt(lam)``.  Structural tag: ``dtn-product``.
+    ``x = a sqrt(lam)``.
     """
 
     a: float
     base_q: PowerSpectrum
-    tag: str = field(default="dtn-product", init=False)
 
     @property
     def kernel_dim(self) -> int:
         return self.base_q.kernel_dim
-
-    def branch_pair(self, lam: float) -> tuple[float, float]:
-        x = self.a * math.sqrt(lam)
-        up = math.sqrt(lam) * (1.0 + 2.0 / math.expm1(x))
-        dn = math.sqrt(lam) * (1.0 - 2.0 / (math.exp(x) + 1.0))
-        return up, dn
-
-    def eigenvalues(self, cutoff: float):
-        if self.kernel_dim and 2.0 / self.a <= cutoff:
-            yield 2.0 / self.a, self.kernel_dim
-        for lam, m in self.base_q.eigenvalues((cutoff * 1.5) ** 2):
-            up, dn = self.branch_pair(lam)
-            if up <= cutoff:
-                yield up, m
-            if dn <= cutoff:
-                yield dn, m
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ operator on tangential forms:
   split into the labelled pieces used by the density computation;
 * a boundary-point substitution table resolving every metric/connection jet
   into principal curvatures ``kappa_a``, scalar curvatures ``tau_M, tau_Y``
-  and a controlled set of opaque jet symbols.
+  and jet symbols, the set of which is fixed by ``(m, q)``.
 
 All algebra is exact (sympy); no floating point enters this module.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "riccati_residual",
     "parametrix_defect",
     "projected_square_correction_defect",
-    "assert_homogeneous",
 ]
 
 II = sp.I
@@ -49,6 +48,11 @@ II = sp.I
 
 class JetResolutionError(ValueError):
     """A coefficient jet appeared that the boundary-point table cannot resolve."""
+
+
+def _jet(name: str) -> Symbol:
+    """Symbol for a jet value with no closed form at the boundary point."""
+    return Symbol(name, real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +139,6 @@ class BoundaryChart:
         self.tauM = Symbol("tauM", real=True)
         self.tauY = Symbol("tauY", real=True)
 
-        self._opaque: dict[tuple, Symbol] = {}
-        self.must_cancel: set[Symbol] = set()
-
         # inverse metric g^{ab}, shared symmetric functions
         self.gu = sp.zeros(self.d, self.d)
         self._gu_fun = {}
@@ -184,6 +185,7 @@ class BoundaryChart:
         self.Id = eye(self.n_full)
         self.Id_proj = eye(self.n_proj)
 
+        self.must_cancel = self._must_cancel()
         self._cache: dict[str, object] = {}
 
     # -- elementary operations --------------------------------------------
@@ -360,22 +362,13 @@ class BoundaryChart:
         return out
 
     # -- boundary-point substitution table --------------------------------
-    def _opaque_symbol(self, key: tuple, name: str, cancels: bool) -> Symbol:
-        if key not in self._opaque:
-            s = Symbol(name, real=True)
-            self._opaque[key] = s
-            if cancels:
-                self.must_cancel.add(s)
-        return self._opaque[key]
-
     def dom_symbol(self, k: int, i: int, j: int, direction: int) -> Symbol:
-        """Opaque symbol for ``d_{direction} omega_k[i, j]`` at the base point.
+        """Jet symbol for ``d_{direction} omega_k[i, j]`` at the base point.
 
         ``direction`` is a 0-based coordinate index; ``direction == m-1`` is
         the normal direction.
         """
-        key = ("om", k, i, j, direction)
-        return self._opaque_symbol(key, f"dom{k}_{i}_{j}_c{direction}", cancels=False)
+        return _jet(f"dom{k}_{i}_{j}_c{direction}")
 
     @property
     def conn_values(self) -> list[Matrix]:
@@ -443,12 +436,10 @@ class BoundaryChart:
                     return Rational(1, 3) * (self._riem_Y(a, c1, c2, b)
                                              + self._riem_Y(a, c2, c1, b))
                 if nrm == 1:
-                    c = tang.index(1)
-                    return self._opaque_symbol(("gumix", a, b, c),
-                                               f"Jgu{a}{b}m{c}", cancels=True)
+                    return _jet(f"Jgu{a}{b}m{tang.index(1)}")
                 if a == b:
-                    return self._opaque_symbol(("gumm", a), f"Gmm{a + 1}", cancels=False)
-                return self._opaque_symbol(("gummo", a, b), f"Gmmo{a}{b}", cancels=True)
+                    return _jet(f"Gmm{a + 1}")
+                return _jet(f"Gmmo{a}{b}")
             raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
 
         if fname == "lng":
@@ -464,8 +455,7 @@ class BoundaryChart:
                     c1, c2 = idx
                     return -Rational(2, 3) * self._ric_Y(c1, c2)
                 if nrm == 1:
-                    c = tang.index(1)
-                    return self._opaque_symbol(("lngmix", c), f"Jlngm{c}", cancels=True)
+                    return _jet(f"Jlngm{tang.index(1)}")
                 return -4 * sum(k ** 2 for k in self.kappas) + self.sum_glow_mm
             raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
 
@@ -503,7 +493,6 @@ class BoundaryChart:
             M = zeros(n, n)
         elif m == 2:  # full Ricci endomorphism on 1-forms
             r11, r12, r22 = (Symbol(s, real=True) for s in ("RicM11", "RicM12", "RicM22"))
-            self.must_cancel.update({r11, r12, r22})
             M = Matrix([[-r11, -r12], [-r12, -r22]])
         elif q == 1:  # full Ricci endomorphism on 1-forms, dim 3
             r = {(i, j): Symbol(f"RicM{min(i,j)+1}{max(i,j)+1}", real=True)
@@ -522,40 +511,43 @@ class BoundaryChart:
         self._cache[key] = M
         return M
 
+    def _must_cancel(self) -> frozenset[Symbol]:
+        """Jet symbols that carry no curvature data and must drop out of every
+        integrated density.
+
+        These are the mixed normal/tangential jets of ``g^{ab}`` and ``ln|g|``,
+        the off-diagonal second normal jets of ``g^{ab}``, the diagonal ones
+        left after :meth:`post_integration_rules` eliminates the first, and the
+        Ricci components of the curvature endomorphism that no trace fixes.
+        """
+        d = self.d
+        pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        names = [f"Jgu{a}{b}m{c}" for a, b in pairs for c in range(d)]
+        names += [f"Gmmo{a}{b}" for a, b in pairs if a != b]
+        names += [f"Jlngm{c}" for c in range(d)]
+        names += [f"Gmm{a + 1}" for a in range(1, d)]
+        names += {
+            (2, 1): ["RicM11", "RicM12", "RicM22"],
+            (3, 1): ["RicM12", "RicM13", "RicM22", "RicM23"],
+            (3, 2): ["RicM11", "RicM22", "RM2113", "RM1223", "RM1332"],
+        }.get((self.m, self.q), [])
+        return frozenset(_jet(name) for name in names)
+
     def post_integration_rules(self) -> dict[Symbol, sp.Expr]:
         """Substitutions resolving trace-only jet symbols after integration.
 
         The individual diagonal second normal metric jets and the diagonal
         curvature-endomorphism entries are only known through their traces;
         these rules eliminate one symbol of each family in favour of the known
-        trace, moving the remaining free symbols into :attr:`must_cancel`.
+        trace.  The remaining symbols of each family are in :attr:`must_cancel`.
         """
-        rules: dict[Symbol, sp.Expr] = {}
-        gsyms = [self._opaque.get(("gumm", a)) for a in range(self.d)]
-        gsyms = [s for s in gsyms if s is not None]
-        if gsyms:
-            rest = gsyms[1:]
-            rules[gsyms[0]] = self.sum_gu_mm - sum(rest, sp.Integer(0))
-            self.must_cancel.update(rest)
+        gmm = [_jet(f"Gmm{a + 1}") for a in range(self.d)]
+        rules = {gmm[0]: self.sum_gu_mm - sum(gmm[1:], sp.Integer(0))}
         if self.m == 3 and self.q >= 1:
-            r33 = Symbol("RicM33", real=True)
             ric33_val = (self.tauM - self.tauY) / 2 + self.kappas[0] * self.kappas[1]
-            rules[r33] = ric33_val
+            rules[_jet("RicM33")] = ric33_val
             if self.q == 1:
-                r11, r22 = Symbol("RicM11", real=True), Symbol("RicM22", real=True)
-                rules[r11] = self.tauM - r22 - ric33_val
-                self.must_cancel.update({
-                    r22,
-                    Symbol("RicM12", real=True),
-                    Symbol("RicM13", real=True),
-                    Symbol("RicM23", real=True),
-                })
-            else:
-                self.must_cancel.update({
-                    Symbol("RicM11", real=True), Symbol("RicM22", real=True),
-                    Symbol("RM2113", real=True), Symbol("RM1223", real=True),
-                    Symbol("RM1332", real=True),
-                })
+                rules[_jet("RicM11")] = self.tauM - _jet("RicM22") - ric33_val
         return rules
 
     def eval_at_boundary_point(self, expr):
@@ -697,19 +689,3 @@ def projected_square_correction_defect(ch: BoundaryChart) -> Matrix:
     rhs = rhs_a0 * rhs_a0 - corr / (ch.w ** 2)
     diff_ = lhs - ch.eval_at_boundary_point(rhs)
     return diff_.applyfunc(lambda e: canonical_zero_form(ch, e))
-
-
-def assert_homogeneous(ch: BoundaryChart, X, degree: int, with_mu: bool = False):
-    """Check parameter homogeneity ``X(t xi, t^2 lam[, t mu]) = t^deg X``."""
-    t = Symbol("t", positive=True)
-    sub = {xi: t * xi for xi in ch.xis}
-    sub[ch.lam] = t ** 2 * ch.lam
-    if with_mu:
-        sub[ch.mu] = t * ch.mu
-    exprs = list(X) if isinstance(X, Matrix) else [X]
-    for e in exprs:
-        diff_ = sp.simplify(sp.powsimp(sp.radsimp(e.subs(sub) - t ** degree * e)))
-        if diff_ != 0:
-            diff_ = sp.simplify(sp.expand(sp.together(e.subs(sub) - t ** degree * e)))
-        if diff_ != 0:
-            raise AssertionError(f"component not homogeneous of degree {degree}")

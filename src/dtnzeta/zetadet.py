@@ -1,16 +1,16 @@
 """Zeta functions and zeta-regularized determinants of model spectra.
 
-Every spectrum stream from :mod:`dtnzeta.spectra` gets a structured zeta
+Every model spectrum from :mod:`dtnzeta.spectra` gets a structured zeta
 evaluation path:
 
-* ``affine-zeta`` streams reduce exactly to a rescaled Riemann zeta
-  (Euler-Maclaurin implementation from :mod:`dtnzeta.sfunc`);
-* ``product-lattice`` streams are summed family-by-family: interval-mode sums
+* power spectra reduce exactly to a rescaled Riemann zeta
+  (``mpmath.zeta`` through :mod:`dtnzeta.sfunc`);
+* product-lattice spectra are summed family-by-family: interval-mode sums
   at integer argument come from exact derivatives of the cotangent identity
   ``sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) - 1/(2t)``, with integral
   tail bounds over the truncated cross-section modes; at ``s = 0`` the
   analytic continuation of each family is used;
-* ``dtn-product`` streams split into the zero-mode branch, twice the
+* cylinder DtN spectra split into the zero-mode branch, twice the
   cross-section zeta at half argument, and a numerically summed correction
   over branch pairs.
 
@@ -28,7 +28,7 @@ import numpy as np
 import sympy as sp
 
 from .sfunc import riemann_zeta, zeta_deriv_at
-from .spectra import DtnProductSpectrum, ExplicitSpectrum, PowerSpectrum, ProductSpectrum
+from .spectra import DtnProductSpectrum, PowerSpectrum, ProductSpectrum
 
 __all__ = [
     "ZetaValue",
@@ -117,11 +117,6 @@ def _zeta_affine(spec: PowerSpectrum, s, dps: int = 30) -> ZetaValue:
         return ZetaValue(float(val), 0.0, "affine-closed-form")
 
 
-def _zeta_explicit(spec: ExplicitSpectrum, s) -> ZetaValue:
-    val = sum(m * lam ** (-s) for lam, m in spec.entries)
-    return ZetaValue(float(val), 0.0, "finite-sum")
-
-
 def _product_family_sum(spec: ProductSpectrum, base: PowerSpectrum, k0: int,
                         s: float, nmax: int) -> tuple[float, float]:
     """Family sum ``sum_{lam in base, lam>0} mult * Z_s(lam)`` with tail bound.
@@ -189,23 +184,28 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
         return ZetaValue(float(total), 0.0, "family-continuation")
 
 
+_DTN_MAX_TERMS = 10_000
+
+
 def _dtn_correction_terms(spec: DtnProductSpectrum, dps: int, tol: float = 1e-25):
-    """Branch-pair corrections ``(lam, mult, c_plus, c_minus)`` until negligible."""
+    """Branch-pair corrections ``(lam, mult, c_plus, c_minus)`` until negligible.
+
+    Raises ``ValueError`` if the corrections are still above ``tol`` after
+    ``_DTN_MAX_TERMS`` cross-section modes (a very short cylinder).
+    """
     out = []
     with mp.workdps(dps):
-        n = 1
-        while True:
+        for n in range(1, _DTN_MAX_TERMS + 1):
             lam = mp.mpf(spec.base_q.coeff) * n ** spec.base_q.power
             x = spec.a * mp.sqrt(lam)
             cp = 2 / mp.expm1(x)
             cm = 2 / (mp.e ** x + 1)
             out.append((lam, spec.base_q.mult, cp, cm))
             if cp < tol and cm < tol:
-                break
-            n += 1
-            if n > 10_000:
-                break
-    return out
+                return out
+    raise ValueError(
+        f"DtN branch-pair series not below {tol:g} after {_DTN_MAX_TERMS} terms "
+        f"(a = {spec.a:g}; last correction {float(cp):.3g})")
 
 
 def _zeta_dtn(spec: DtnProductSpectrum, s, dps: int = 30) -> ZetaValue:
@@ -223,16 +223,14 @@ def _zeta_dtn(spec: DtnProductSpectrum, s, dps: int = 30) -> ZetaValue:
 
 
 def zeta(stream, s, dps: int = 30) -> ZetaValue:
-    """Spectral zeta function of a stream at real ``s`` (kernel excluded)."""
+    """Spectral zeta function of a model spectrum at real ``s`` (kernel excluded)."""
     if isinstance(stream, PowerSpectrum):
         return _zeta_affine(stream, s, dps)
-    if isinstance(stream, ExplicitSpectrum):
-        return _zeta_explicit(stream, s)
     if isinstance(stream, ProductSpectrum):
         return _zeta_product(stream, s, dps)
     if isinstance(stream, DtnProductSpectrum):
         return _zeta_dtn(stream, s, dps)
-    raise TypeError(f"unknown spectrum stream {type(stream)!r}")
+    raise TypeError(f"unknown spectrum {type(stream)!r}")
 
 
 def zeta_at_zero(stream, dps: int = 30) -> ZetaValue:
@@ -247,9 +245,6 @@ def logdet_star(stream, dps: int = 30) -> ZetaValue:
             val = stream.mult * (mp.log(stream.coeff) * riemann_zeta(0, dps)
                                  - stream.power * zeta_deriv_at(0, dps))
             return ZetaValue(float(val), 0.0, "affine-closed-form")
-        if isinstance(stream, ExplicitSpectrum):
-            val = sum(m * mp.log(lam) for lam, m in stream.entries)
-            return ZetaValue(float(val), 0.0, "finite-sum")
         if isinstance(stream, DtnProductSpectrum):
             part = stream.kernel_dim * mp.log(2 / mp.mpf(stream.a))
             part += logdet_star(stream.base_q, dps).value

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dtnzeta.cli import RunConfig, main, render_report, run
 
@@ -55,6 +57,14 @@ class TestReports:
         status, report = run(RunConfig(command="specfun-selftest"))
         assert status == 0 and json.loads(report)["status"] == "PASS"
 
+    @given(st.integers(min_value=15, max_value=100))
+    @example(40)
+    @example(60)
+    @example(100)
+    def test_specfun_selftest_every_precision(self, dps):
+        status, report = run(RunConfig(command="specfun-selftest", dps=dps))
+        assert status == 0 and json.loads(report)["status"] == "PASS"
+
     def test_conformal_check(self):
         status, report = run(RunConfig(command="conformal-check", m=2))
         assert status == 0 and json.loads(report)["status"] == "PASS"
@@ -71,6 +81,12 @@ class TestMain:
 
     def test_unknown_geometry_exit_code(self, capsys):
         assert main(["geom-constants", "--geometry", "nonexistent"]) == 4
+
+    def test_series_cap_exit_code(self, capsys):
+        # at a = 0.001 the DtN branch-pair corrections decay too slowly for
+        # the term cap; the run must stop with an error, not report PASS
+        assert main(["verify-cylinder", "--a", "0.001"]) == 4
+        assert "branch-pair series" in capsys.readouterr().err
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -17,28 +17,39 @@ from dtnzeta.geom import (
     constant_harmonic_basis,
     cylinder_boundary,
     det_s,
-    mean_curvatures,
     rescale,
     unit_ball,
     unit_disk,
     zeta0_constant,
 )
+from dtnzeta.symbolcas import chart
 
 
 class TestMeanCurvatures:
+    """Normalized mean curvatures ``H1``, ``H2`` of the boundary chart, from
+    which the derived densities that the constants integrate are built."""
+
+    @staticmethod
+    def _at(m, kappas):
+        ch = chart(m, 0)
+        return ch, dict(zip(ch.kappas, kappas))
+
     def test_unit_sphere(self):
-        assert mean_curvatures((1.0, 1.0), 3) == (1.0, 1.0)
+        ch, at = self._at(3, (1, 1))
+        assert (ch.H1.subs(at), ch.H2.subs(at)) == (1, 1)
 
     def test_parabolic_point(self):
-        assert mean_curvatures((2.0, 0.0), 3) == (1.0, 0.0)
+        ch, at = self._at(3, (2, 0))
+        assert (ch.H1.subs(at), ch.H2.subs(at)) == (1, 0)
 
     def test_curve(self):
-        H1, H2 = mean_curvatures((0.7,), 2)
-        assert H1 == 0.7 and H2 is None
+        ch, at = self._at(2, (0.7,))
+        assert ch.H1.subs(at) == 0.7
 
     def test_wrong_count(self):
+        # a curve has one principal curvature, too few for H2
         with pytest.raises(ValueError):
-            mean_curvatures((1.0,), 3)
+            chart(2, 0).H2
 
 
 class TestGeometrySpec:

@@ -13,7 +13,6 @@ from dtnzeta.sfunc import (
     DivergentMomentError,
     DomainError,
     SFunction,
-    beta_moment,
     gamma_ratio_at_zero,
     mu_residue,
     riemann_zeta,
@@ -69,27 +68,19 @@ class TestRiemannZeta:
         with mp.workdps(45):
             assert abs(zeta_deriv_at(0) + mp.log(2 * mp.pi) / 2) < mp.mpf(10) ** -30
 
-    @given(st.floats(min_value=1.5, max_value=20.0))
-    def test_against_mpmath(self, s):
-        with mp.workdps(45):
-            assert abs(riemann_zeta(s) - mp.zeta(s)) < mp.mpf(10) ** -30
+    @given(st.integers(min_value=1, max_value=12))
+    def test_bernoulli_values(self, k):
+        # zeta(2k) = (-1)^(k+1) B_2k (2 pi)^2k / (2 (2k)!),  zeta(1-2k) = -B_2k / 2k
+        b = sp.bernoulli(2 * k)
+        with mp.workdps(60):
+            bern = mp.mpf(b.p) / b.q
+            even = (-1) ** (k + 1) * bern * (2 * mp.pi) ** (2 * k) / (2 * mp.factorial(2 * k))
+            assert abs(riemann_zeta(2 * k, 60) - even) < mp.mpf(10) ** -55
+            assert abs(riemann_zeta(1 - 2 * k, 60) + bern / (2 * k)) < mp.mpf(10) ** -55 * abs(bern)
 
-
-class TestBetaMoment:
-    def test_half_half(self):
-        assert sp.simplify(beta_moment(sp.Rational(1, 2), sp.Rational(1, 2)) - sp.pi) == 0
-
-    def test_one_one(self):
-        assert sp.simplify(beta_moment(1, 1) - 1) == 0
-
-    def test_symbolic_half_argument(self):
-        val = beta_moment(sp.Rational(1, 2), S / 2)
-        target = (sp.Rational(2, 1) / S) * sp.sqrt(sp.pi) * sp.gamma(S / 2 + 1) / sp.gamma((S + 1) / 2)
-        assert sp.simplify(sp.gammasimp(val - target)) == 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_moment(-1, 1)
+    def test_apery_constant(self):
+        with mp.workdps(100):
+            assert abs(riemann_zeta(3, 100) - mp.apery) < mp.mpf(10) ** -95
 
 
 class TestMuResidue:
@@ -155,7 +146,8 @@ class TestXiMoment:
 
 class TestSFunction:
     def test_removable_point(self):
-        f = SFunction.rational(S, S)
+        # direct substitution gives 0 * zoo; the limit is 1
+        f = SFunction(S * sp.gamma(S))
         assert f.value_at(0) == 1
 
     @pytest.mark.parametrize("expr", [
@@ -168,8 +160,3 @@ class TestSFunction:
         h = 1e-6
         numeric = float((f.numeric(h) - f.numeric(-h)) / (2 * h))
         assert abs(exact - numeric) < 1e-8
-
-    def test_algebra(self):
-        f = SFunction.rational(1, S - 2) + SFunction.rational(1, S + 2)
-        g = f * SFunction.rational(S - 2)
-        assert sp.simplify(g.expr - (1 + (S - 2) / (S + 2))) == 0

@@ -7,6 +7,7 @@ import sympy as sp
 from sympy import Matrix, Symbol, zeros
 
 from dtnzeta.symbolcas import (
+    BoundaryChart,
     JetResolutionError,
     canonical_zero_form,
     chart,
@@ -17,6 +18,7 @@ from dtnzeta.symbolcas import (
     riccati_residual,
     star_compose,
 )
+from dtnzeta.symbolint import transform
 
 
 class TestFormBasis:
@@ -87,6 +89,19 @@ class TestChartStructure:
         too_deep = sp.diff(ch.gu[0, 0], ch.ym, 3)
         with pytest.raises(JetResolutionError):
             ch.eval_at_boundary_point(Matrix([[too_deep]]))
+
+
+class TestChartPurity:
+    def test_jet_resolution_leaves_chart_unchanged(self):
+        # the transforms behind pi0_density(1) and a0_density(3, 1), run on a
+        # chart of its own: what must cancel is fixed by (m, q) alone
+        ch = BoundaryChart(3, 1)
+        before = (ch.must_cancel, ch.post_integration_rules())
+        res = ch.resolvent()
+        transform(ch, res["r1"])
+        transform(ch, res["r3"])
+        assert (ch.must_cancel, ch.post_integration_rules()) == before
+        assert len(ch.must_cancel) == 14
 
 
 class TestStarCompose:

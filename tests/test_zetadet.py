@@ -3,12 +3,12 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dtnzeta.spectra import (
-    ExplicitSpectrum,
     circle_form_spectrum,
     disk_steklov_spectrum,
     product_dtn_spectrum,
@@ -64,13 +64,6 @@ class TestAffineZeta:
         assert abs(logdet_star(d).value - (math.log(R) + math.log(2 * math.pi))) < 1e-12
 
 
-class TestExplicitZeta:
-    def test_finite_sum(self):
-        spec = ExplicitSpectrum(entries=((2.0, 1), (4.0, 3)), kernel_dim=0)
-        assert abs(zeta(spec, 1).value - (1 / 2.0 + 3 / 4.0)) < 1e-15
-        assert abs(logdet_star(spec).value - (math.log(2.0) + 3 * math.log(4.0))) < 1e-15
-
-
 class TestProductZeta:
     def test_zeta_at_zero_continuation(self):
         # q = 0 cylinder: absolute continuation gives -1, Dirichlet gives 0
@@ -108,3 +101,16 @@ class TestDtnZeta:
         N = circle_form_spectrum(2 * math.pi, 0)
         expected = N.kernel_dim * math.log(2 / a) + logdet_star(N).value
         assert abs(logdet_star(dtn).value - expected) < 1e-10
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+    def test_zeta_matches_branch_sum(self, a):
+        # brute force over the eigenvalues: the 2/a zero-mode branch and the
+        # pair sqrt(lam) coth(x/2), sqrt(lam) tanh(x/2) for lam = n^2
+        # (multiplicity 2), x = a n; the tail past n_max is below
+        # 4 sum_{n > n_max} n^-4 < 2e-11
+        s, n_max = 4, 4000
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        t = np.tanh(a * n / 2)
+        brute = (a / 2) ** s + 2 * np.sum((n / t) ** -s + (n * t) ** -s)
+        dtn = product_dtn_spectrum(a, 2 * math.pi, 0)
+        assert abs(zeta(dtn, s).value - brute) < 1e-10
