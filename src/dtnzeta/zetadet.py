@@ -5,21 +5,26 @@ evaluation path:
 
 * power spectra reduce exactly to a rescaled Riemann zeta
   (``mpmath.zeta`` through :mod:`dtnzeta.sfunc`);
-* product-lattice spectra are summed family-by-family: interval-mode sums
-  at integer argument come from exact derivatives of the cotangent identity
-  ``sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) - 1/(2t)``, with integral
-  tail bounds over the truncated cross-section modes; at ``s = 0`` the
-  analytic continuation of each family is used;
+* product-lattice spectra on ``[0, a] x S^1`` are split family by family into
+  the lattice sum ``sum_{k,n>=1} (alpha^2 k^2 + beta^2 n^2)^{-s}`` plus its
+  ``k = 0`` and zero-mode rows.  The lattice sum is resummed along the wider
+  gap (Chowla--Selberg): the narrow direction is summed in closed form by the
+  cotangent kernel ``interval_mode_sum``, which leaves two Riemann zeta terms
+  and an exponentially convergent Bessel-K remainder of a few terms; at
+  ``s = 0`` the analytic continuation of each family is used;
 * cylinder DtN spectra split into the zero-mode branch, twice the
   cross-section zeta at half argument, and a numerically summed correction
   over branch pairs.
 
 ``logdet_star`` is the zeta-regularized log-determinant ``-zeta'(0)`` with the
-kernel excluded.  All numerics carry explicit error bounds.
+kernel excluded.  Every ``ZetaValue.error_bound`` is computed: a truncation
+bound for the series that are cut off, plus the float64 rounding of the
+magnitudes that are summed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,10 +41,13 @@ __all__ = [
     "zeta_at_zero",
     "logdet_star",
     "interval_mode_sum",
-    "interval_mode_sum_direct",
     "verify_product_gluing",
     "zeta_zero_identity_sides",
 ]
+
+_UNIT = 2.0 ** -53  # float64 unit roundoff
+_KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1 and s <= 4, in ulp
+_REMAINDER_DIGITS = 20  # Bessel-K remainder terms kept until e^{-2 pi r m} < 1e-20
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,16 @@ class ZetaValue:
         return float(self.value)
 
 
+def _float_rounding(val, magnitude=None) -> float:
+    """Error bound of ``float(val)`` for an mpf computed in a few operations.
+
+    Half an ulp for the conversion, plus a few working-precision roundings of
+    ``magnitude`` (the largest quantity summed; ``|val|`` by default).
+    """
+    magnitude = abs(val) if magnitude is None else magnitude
+    return abs(float(val)) * _UNIT + 8 * float(magnitude * mp.eps)
+
+
 # ---------------------------------------------------------------------------
 # Interval-mode sums
 # ---------------------------------------------------------------------------
@@ -62,29 +80,30 @@ class ZetaValue:
 def _interval_sum_fn(s: int):
     """Vectorized closed form of ``sum_{k>=1} (k^2 + t)^{-s}`` for integer s >= 1.
 
-    Obtained by differentiating the cotangent identity symbolically; the
-    hyperbolic cotangent is written via ``exp(-2 pi sqrt t)`` so that large
-    arguments underflow gracefully.
+    The cotangent identity ``sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) -
+    1/(2t)`` is differentiated symbolically in ``x = t^{-1/2}``,
+    ``V = coth(pi sqrt t) - 1`` and ``Q = csch(pi sqrt t)^2``, so every
+    derivative is a polynomial in ``(x, V, Q)``.  Its ``V, Q``-free part is the
+    large-``t`` expansion ``c_s t^{1/2-s} - t^{-s}/2``; the rest is
+    ``O(e^{-2 pi sqrt t})`` and is kept even where it is below an ulp of the
+    total.  For ``t >= 1`` nothing overflows and the value is accurate to a
+    few ulp; for small ``t`` the polynomial cancels catastrophically.
     """
     if s < 1:
         raise ValueError("closed interval-mode sum needs integer s >= 1")
-    t = sp.Symbol("t", positive=True)
-    u = sp.Symbol("u", positive=True)  # stands for exp(-2 pi sqrt(t))
-    coth = (1 + u) / (1 - u)
-    f = sp.pi * coth / (2 * sp.sqrt(t)) - 1 / (2 * t)
-    # total d/dt with the exponential kept as an explicit variable, so the
-    # lambdified result is rational in (t, u) and u underflows cleanly to 0
-    du_dt = -sp.pi * u / sp.sqrt(t)
-    expr = f
+    x, V, Q = sp.symbols("x V Q", positive=True)
+    expr = sp.pi * x * (1 + V) / 2 - x ** 2 / 2
     for _ in range(s - 1):
-        expr = sp.cancel(sp.diff(expr, t) + du_dt * sp.diff(expr, u))
-    expr = (-1) ** (s - 1) * expr / sp.factorial(s - 1)
-    fn = sp.lambdify((t, u), expr, modules="numpy")
+        # d/dt with dx/dt = -x^3/2, dV/dt = -pi x Q/2, dQ/dt = -pi x (1 + V) Q
+        expr = sp.expand(-x ** 3 / 2 * sp.diff(expr, x) - sp.pi * x * Q / 2 * sp.diff(expr, V)
+                         - sp.pi * x * (1 + V) * Q * sp.diff(expr, Q))
+    fn = sp.lambdify((x, V, Q), (-1) ** (s - 1) * expr / sp.factorial(s - 1), modules="numpy")
 
     def evaluate(tval):
         tval = np.asarray(tval, dtype=np.float64)
-        uval = np.exp(-2.0 * np.pi * np.sqrt(tval))
-        return fn(tval, uval)
+        z = 2.0 * np.pi * np.sqrt(tval)
+        u, d = np.exp(-z), -np.expm1(-z)  # e^{-2 pi sqrt t} and 1 - e^{-2 pi sqrt t}
+        return fn(1.0 / np.sqrt(tval), 2.0 * u / d, 4.0 * u / (d * d))
 
     return evaluate
 
@@ -94,19 +113,6 @@ def interval_mode_sum(s: int, t):
     return _interval_sum_fn(int(s))(t)
 
 
-def interval_mode_sum_direct(s: float, t: float, kmax: int = 200_000) -> tuple[float, float]:
-    """Direct truncated evaluation with an integral tail bound (cross-check)."""
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    val = float(np.sum((k * k + t) ** (-s)))
-    # the integrand is decreasing, so the tail is bounded by the integral from
-    # kmax; for s > 1 bound the integral via x/kmax >= 1, for s = 1 drop t
-    if s > 1:
-        tail = (kmax ** 2 + t) ** (1.0 - s) / (2 * kmax * (s - 1.0))
-    else:
-        tail = 1.0 / kmax
-    return val, float(tail)
-
-
 # ---------------------------------------------------------------------------
 # Zeta evaluation per structural tag
 # ---------------------------------------------------------------------------
@@ -114,55 +120,74 @@ def interval_mode_sum_direct(s: float, t: float, kmax: int = 200_000) -> tuple[f
 def _zeta_affine(spec: PowerSpectrum, s, dps: int = 30) -> ZetaValue:
     with mp.workdps(dps):
         val = spec.mult * mp.power(spec.coeff, -mp.mpf(s)) * riemann_zeta(spec.power * mp.mpf(s), dps)
-        return ZetaValue(float(val), 0.0, "affine-closed-form")
+        return ZetaValue(float(val), _float_rounding(val), "affine-closed-form")
 
 
-def _product_family_sum(spec: ProductSpectrum, base: PowerSpectrum, k0: int,
-                        s: float, nmax: int) -> tuple[float, float]:
-    """Family sum ``sum_{lam in base, lam>0} mult * Z_s(lam)`` with tail bound.
+def _lattice_sum(s: int, alpha: float, beta: float, zeta_odd: float,
+                 zeta_even: float) -> tuple[float, float]:
+    """``sum_{k,n>=1} (alpha^2 k^2 + beta^2 n^2)^{-s}`` with a computed error bound.
 
-    ``Z_s(lam) = sum_{k >= k0} ((k pi / a)^2 + lam)^{-s}``; ``k0`` in {0, 1}.
+    The sum is symmetric in ``alpha, beta``; with ``g = min``, ``r = max/g >= 1``
+    and the narrow direction summed by the cotangent kernel, it is
+
+    ``g^{-2s} [c_s r^{1-2s} zeta(2s-1) - r^{-2s} zeta(2s)/2 + sum_{m>=1} R_s(r^2 m^2)]``
+
+    with ``c_s = sqrt(pi) Gamma(s-1/2) / (2 Gamma(s))`` and the Bessel-K
+    remainder ``R_s(t) = interval_mode_sum(s, t) - c_s t^{1/2-s} + t^{-s}/2``
+    (Chowla & Selberg, PNAS 35, 1949).  ``zeta_odd``/``zeta_even`` are
+    ``zeta(2s-1)``/``zeta(2s)``.
     """
-    scale = (spec.a / np.pi) ** 2
-    n = np.arange(1, nmax + 1, dtype=np.float64)
-    lams = base.coeff * n ** base.power
-    tvals = lams * scale
-    core = interval_mode_sum(int(s), tvals) * scale ** s
-    if k0 == 0:
-        core = core + lams ** (-s)
-    total = float(base.mult * np.sum(core))
-    # tail over n > nmax: mult * [scale^s * c_s * t^{1/2-s} (+ lam^{-s} if k0=0)]
-    c_s = float(mp.sqrt(mp.pi) / 2 * mp.gamma(s - 0.5) / mp.gamma(s))
-    # integral bound on sum over n > nmax of (coeff n^power)^{1/2-s} etc.
-    def _power_tail(expo: float) -> float:
-        # sum_{n>nmax} (coeff * n^power)^{-expo} <= coeff^-expo * nmax^(1-p*expo)/(p*expo-1)
-        p = base.power
-        assert p * expo > 1
-        return base.coeff ** (-expo) * float(nmax) ** (1 - p * expo) / (p * expo - 1)
-    tail = base.mult * (scale ** s * c_s * scale ** (0.5 - s) * _power_tail(s - 0.5))
-    if k0 == 0:
-        tail += base.mult * _power_tail(s)
-    return total, float(tail)
+    g = min(alpha, beta)
+    r = max(alpha, beta) / g
+    c_s = math.sqrt(math.pi) * math.gamma(s - 0.5) / (2 * math.gamma(s))
+    m_last = math.ceil(_REMAINDER_DIGITS * math.log(10) / (2 * math.pi * r)) + 1
+    t = (r * np.arange(1, m_last + 1, dtype=np.float64)) ** 2
+    kernel = interval_mode_sum(s, t)
+    power_half, power_full = c_s * t ** (0.5 - s), 0.5 * t ** (-s)
+    rem = kernel - (power_half - power_full)
+    lead = (c_s * r ** (1 - 2 * s) * zeta_odd, -0.5 * r ** (-2 * s) * zeta_even)
+    total = math.fsum(lead) + math.fsum(rem[:-1])
+    # rounding of each remainder term: the kernel's ulp, and a few for the powers
+    summed = kernel + power_half + power_full
+    term_err = 2 * _KERNEL_ULP * _UNIT * summed
+    # R_s(t) e^{2 pi sqrt t} is nonincreasing (Bessel-K form), so the terms
+    # m >= m_last are below a geometric series from the computed R_s at m_last
+    trunc = (abs(rem[-1]) + term_err[-1]) / -math.expm1(-2 * math.pi * r)
+    # g, r and c_s carry one rounding each, amplified by the power 2s
+    magnitude = abs(lead[0]) + abs(lead[1]) + float(np.sum(summed[:-1]))
+    rounding = float(np.sum(term_err[:-1])) + (m_last + 4 * s + 8) * _UNIT * magnitude
+    scale = g ** (-2 * s)
+    return scale * total, float(scale * (trunc + rounding))
 
 
-def _zeta_product(spec: ProductSpectrum, s, dps: int = 30, nmax: int = 400_000) -> ZetaValue:
+def _zeta_product(spec: ProductSpectrum, s, dps: int = 30) -> ZetaValue:
     s = float(s)
     if s == 0:
         return _zeta_product_at_zero(spec, dps)
-    if abs(s - round(s)) > 0 or s < 2:
-        raise ValueError("product-lattice zeta implemented at integer s >= 2 and s = 0")
-    total = 0.0
+    if s not in (2, 3, 4):
+        raise ValueError("product-lattice zeta implemented at s in {2, 3, 4} and s = 0")
+    s = int(s)
+    alpha = math.pi / spec.a
+    zeta_odd = float(riemann_zeta(2 * s - 1, dps))
+    zeta_even = float(riemann_zeta(2 * s, dps))
+    terms = []
     err = 0.0
     for base, k0 in spec._families():
-        v, e = _product_family_sum(spec, base, k0, s, nmax)
-        total += v
-        err += e
+        if base.power != 2:
+            raise ValueError("product-lattice zeta needs a cross-section spectrum coeff * n**2")
+        beta = math.sqrt(base.coeff)
+        lattice, lattice_err = _lattice_sum(s, alpha, beta, zeta_odd, zeta_even)
+        terms.append(base.mult * lattice)
+        err += base.mult * lattice_err
+        if k0 == 0:
+            # the k = 0 row: the cross-section eigenvalues themselves
+            terms.append(base.mult * beta ** (-2 * s) * zeta_even)
         if base.kernel_dim:
             # zero cross-section family: sum_{k>=1} ((k pi/a)^2)^{-s}
-            with mp.workdps(dps):
-                total += base.kernel_dim * float(
-                    mp.power(spec.a / mp.pi, 2 * s) * riemann_zeta(2 * s, dps))
-    return ZetaValue(total, err, "family-cotangent-sum")
+            terms.append(base.kernel_dim * alpha ** (-2 * s) * zeta_even)
+    magnitude = sum(abs(v) for v in terms)
+    err += (len(terms) + 4 * s + 4) * _UNIT * magnitude
+    return ZetaValue(math.fsum(terms), err, "chowla-selberg-lattice")
 
 
 def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
@@ -208,18 +233,46 @@ def _dtn_correction_terms(spec: DtnProductSpectrum, dps: int, tol: float = 1e-25
         f"(a = {spec.a:g}; last correction {float(cp):.3g})")
 
 
+def _dtn_tail(spec: DtnProductSpectrum, n_kept: int) -> tuple[float, float]:
+    """``(lam, w)`` for the branch-pair series cut after ``n_kept`` modes.
+
+    ``lam`` is the first cross-section eigenvalue left out, and ``w`` bounds
+    ``sum_{n > n_kept} c_plus(lam_n)``: with a cross-section power >= 2,
+    ``x_n = a sqrt(lam_n)`` grows by at least ``x_1`` per mode, so
+    ``c_plus = 2/(e^x - 1)`` falls at least geometrically with ratio
+    ``e^{-x_1}``.  ``c_minus <= c_plus``.
+    """
+    base = spec.base_q
+    if base.power < 2:
+        raise ValueError("DtN branch-pair tail needs a cross-section power >= 2")
+    lam = base.coeff * (n_kept + 1) ** base.power
+    x = spec.a * math.sqrt(lam)
+    c_plus = 2 * math.exp(-x) / -math.expm1(-x)
+    return lam, c_plus / -math.expm1(-spec.a * math.sqrt(base.coeff))
+
+
 def _zeta_dtn(spec: DtnProductSpectrum, s, dps: int = 30) -> ZetaValue:
+    if s < 0:
+        raise ValueError("DtN zeta implemented at s >= 0")
     with mp.workdps(dps):
         sv = mp.mpf(s)
         total = spec.kernel_dim * mp.power(2 / mp.mpf(spec.a), -sv)
         base_half = _zeta_affine(spec.base_q, sv / 2, dps)
+        magnitude = abs(total) + 2 * abs(base_half.value)
         total += 2 * mp.mpf(base_half.value)
+        terms = _dtn_correction_terms(spec, dps)
         corr = mp.mpf(0)
-        for lam, mult, cp, cm in _dtn_correction_terms(spec, dps):
-            corr += mult * mp.power(lam, -sv / 2) * (
-                mp.power(1 + cp, -sv) + mp.power(1 - cm, -sv) - 2)
+        for lam, mult, cp, cm in terms:
+            weight = mult * mp.power(lam, -sv / 2)
+            corr += weight * (mp.power(1 + cp, -sv) + mp.power(1 - cm, -sv) - 2)
+            magnitude += 2 * weight
         total += corr
-        return ZetaValue(float(total), float(mp.mpf(10) ** (-dps + 5)), "dtn-branch-split")
+        # past the last mode c_minus < c_plus < 1/2, so each left-out term is at
+        # most mult lam^{-s/2} s (c_plus + 2 c_minus); lam^{-s/2} decreases
+        lam, w = _dtn_tail(spec, len(terms))
+        tail = 3 * float(sv) * spec.base_q.mult * lam ** (-float(sv) / 2) * w
+        err = tail + 2 * base_half.error_bound + _float_rounding(total, magnitude)
+        return ZetaValue(float(total), err, "dtn-branch-split")
 
 
 def zeta(stream, s, dps: int = 30) -> ZetaValue:
@@ -242,18 +295,26 @@ def logdet_star(stream, dps: int = 30) -> ZetaValue:
     with mp.workdps(dps):
         if isinstance(stream, PowerSpectrum):
             # -d/ds [mult c^{-s} zeta_R(p s)] at 0
-            val = stream.mult * (mp.log(stream.coeff) * riemann_zeta(0, dps)
-                                 - stream.power * zeta_deriv_at(0, dps))
-            return ZetaValue(float(val), 0.0, "affine-closed-form")
+            log_part = mp.log(stream.coeff) * riemann_zeta(0, dps)
+            zeta_part = stream.power * zeta_deriv_at(0, dps)
+            val = stream.mult * (log_part - zeta_part)
+            err = _float_rounding(val, stream.mult * (abs(log_part) + abs(zeta_part)))
+            return ZetaValue(float(val), err, "affine-closed-form")
         if isinstance(stream, DtnProductSpectrum):
+            base = logdet_star(stream.base_q, dps)
             part = stream.kernel_dim * mp.log(2 / mp.mpf(stream.a))
-            part += logdet_star(stream.base_q, dps).value
+            magnitude = abs(part) + abs(base.value)
+            part += base.value
+            terms = _dtn_correction_terms(stream, dps)
             corr = mp.mpf(0)
-            for lam, mult, cp, cm in _dtn_correction_terms(stream, dps):
+            for lam, mult, cp, cm in terms:
                 corr += mult * mp.log((1 + cp) * (1 - cm))
+                magnitude += 2 * mult
             part += corr
-            return ZetaValue(float(part), float(mp.mpf(10) ** (-dps + 5)),
-                             "dtn-branch-split")
+            # each left-out term is at most mult (c_plus + 2 c_minus)
+            tail = 3 * stream.base_q.mult * _dtn_tail(stream, len(terms))[1]
+            err = tail + base.error_bound + _float_rounding(part, magnitude)
+            return ZetaValue(float(part), err, "dtn-branch-split")
     raise TypeError(f"log-determinant not implemented for {type(stream)!r}")
 
 

@@ -41,6 +41,13 @@ class TestReports:
         assert payload["status"] == "PASS"
         assert all(r["status"] in ("PASS", "INFO") for r in payload["rows"])
 
+    @pytest.mark.parametrize("a", [100.0, 1000.0])
+    def test_verify_cylinder_long(self, a):
+        # the zetas reach 1e9 (a = 100) and 1e15 (a = 1000) at s = 3; the
+        # zeta-difference rows must pass within their float64 rounding bounds
+        status, report = run(RunConfig(command="verify-cylinder", q=1, a=a))
+        assert status == 0, report
+
     def test_verify_zeta_zero_passes(self):
         status, report = run(RunConfig(command="verify-zeta-zero", m=2, q=1, a=0.5))
         assert status == 0 and json.loads(report)["status"] == "PASS"

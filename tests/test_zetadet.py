@@ -1,26 +1,62 @@
 """Zeta functions and determinants of the model spectra."""
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtnzeta.spectra import (
+    PowerSpectrum,
+    ProductSpectrum,
     circle_form_spectrum,
     disk_steklov_spectrum,
     product_dtn_spectrum,
     product_laplacian_spectra,
 )
-from dtnzeta.zetadet import (
-    interval_mode_sum,
-    interval_mode_sum_direct,
-    logdet_star,
-    zeta,
-    zeta_at_zero,
-)
+from dtnzeta.zetadet import interval_mode_sum, logdet_star, zeta, zeta_at_zero
+
+
+def interval_mode_sum_direct(s: float, t: float, kmax: int = 200_000) -> tuple[float, float]:
+    """Direct truncated ``sum_{k<=kmax} (k^2 + t)^{-s}`` and an integral tail bound."""
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    val = float(np.sum((k * k + t) ** (-s)))
+    # the summand decreases, so the tail is below the integral from kmax;
+    # for s > 1 bound that integral via x/kmax >= 1, for s = 1 drop t
+    if s > 1:
+        tail = (kmax ** 2 + t) ** (1.0 - s) / (2 * kmax * (s - 1.0))
+    else:
+        tail = 1.0 / kmax
+    return val, float(tail)
+
+
+def interval_mode_sum_bessel(s: int, t: float) -> mp.mpf:
+    """``sum_{k>=1} (k^2 + t)^{-s}`` from its Bessel-K (Poisson) form, 50 digits.
+
+    ``c_s t^{1/2-s} - t^{-s}/2 + (2 pi^s / Gamma(s)) sum_p (p/sqrt t)^{s-1/2}
+    K_{s-1/2}(2 pi p sqrt t)``, with the half-integer ``K`` in elementary form.
+    """
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        nu, n = mp.mpf(s) - mp.mpf(1) / 2, s - 1
+
+        def k_half(z):
+            poly = mp.fsum(mp.factorial(n + j) / (mp.factorial(j) * mp.factorial(n - j))
+                           * (2 * z) ** -j for j in range(n + 1))
+            return mp.sqrt(mp.pi / (2 * z)) * mp.exp(-z) * poly
+
+        total = mp.sqrt(mp.pi) * mp.gamma(nu) / (2 * mp.gamma(s)) * t ** (-nu) - t ** -s / 2
+        p = 1
+        while True:
+            term = (2 * mp.pi ** s / mp.gamma(s) * (p / mp.sqrt(t)) ** nu
+                    * k_half(2 * mp.pi * p * mp.sqrt(t)))
+            total += term
+            if term < mp.mpf(10) ** -60 * abs(total):
+                return total
+            p += 1
 
 
 class TestIntervalModeSum:
@@ -31,6 +67,17 @@ class TestIntervalModeSum:
         direct, tail = interval_mode_sum_direct(s, t)
         # the direct sum accumulates ~2e5 float64 roundings
         assert abs(closed - direct) <= tail + 5e-12 * (1.0 + abs(closed))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @given(t=st.floats(min_value=1.0, max_value=1e12))
+    @example(t=1.0)
+    @example(t=4 * math.pi ** 2)
+    def test_few_ulp_from_one(self, s, t):
+        # the product-lattice zeta calls the kernel at t >= 1 only, and its
+        # rounding bound allows 16 ulp per kernel value
+        ref = interval_mode_sum_bessel(s, t)
+        ulp = np.spacing(abs(float(ref)))
+        assert abs(mp.mpf(float(interval_mode_sum(s, t))) - ref) <= 10 * ulp
 
     def test_large_argument_underflow_is_clean(self):
         val = float(interval_mode_sum(3, 1e10))
@@ -73,8 +120,14 @@ class TestProductZeta:
 
     def test_integer_arguments_only(self):
         sabs, _ = product_laplacian_spectra(1.0, 2 * math.pi, 0)
+        for s in (1.5, 1, 5):
+            with pytest.raises(ValueError):
+                zeta(sabs, s)
+
+    def test_rejects_non_quadratic_cross_section(self):
+        base = PowerSpectrum(coeff=1.0, power=1, mult=2, kernel_dim=1)
         with pytest.raises(ValueError):
-            zeta(sabs, 1.5)
+            zeta(ProductSpectrum(a=1.0, bc="dirichlet", base_q=base, base_qm1=None), 2)
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("a", [0.5, 3.0])
@@ -114,3 +167,100 @@ class TestDtnZeta:
         brute = (a / 2) ** s + 2 * np.sum((n / t) ** -s + (n * t) ** -s)
         dtn = product_dtn_spectrum(a, 2 * math.pi, 0)
         assert abs(zeta(dtn, s).value - brute) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Independent reference for the product-lattice zetas
+# ---------------------------------------------------------------------------
+
+def _circle_sum(y, c, s):
+    """``sum_{n in Z} (c^2 n^2 + y)^{-s}``: the ``(s-1)``-th ``y``-derivative of
+    ``sum_n 1/(c^2 n^2 + y) = pi coth(pi sqrt(y)/c) / (c sqrt y)``."""
+    def f(v):
+        return mp.pi * mp.coth(mp.pi * mp.sqrt(v) / c) / (c * mp.sqrt(v))
+    return (-1) ** (s - 1) * mp.diff(f, y, s - 1) / mp.factorial(s - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _cylinder_rows(a, L, s):
+    """``(row0, rows)`` for the Laplacian on ``[0, a] x S^1_L`` at 40 digits.
+
+    ``rows = sum_{k>=1} sum_{n in Z} ((k pi/a)^2 + (2 pi n/L)^2)^{-s}`` sums
+    the full circle sum over the interval modes, the summation direction
+    opposite to the package's; ``row0`` is the ``k = 0`` row without the zero
+    mode.  Past ``K``, ``coth = 1`` to 50 digits and the circle sum is
+    ``(pi/c) (1/2)_{s-1}/(s-1)! y^{1/2-s}``, a Hurwitz zeta in ``k``.
+    """
+    with mp.workdps(40):
+        a, L = mp.mpf(a), mp.mpf(L)
+        c = 2 * mp.pi / L
+        K = int(60 * a * c / mp.pi ** 2) + 1
+        rows = mp.fsum(_circle_sum((k * mp.pi / a) ** 2, c, s) for k in range(1, K + 1))
+        rows += (mp.pi / c) * mp.rf(mp.mpf(1) / 2, s - 1) / mp.factorial(s - 1) \
+            * (mp.pi / a) ** (1 - 2 * s) * mp.zeta(2 * s - 1, K + 1)
+        return 2 * c ** (-2 * s) * mp.zeta(2 * s), rows
+
+
+def _reference(a, L, q, s):
+    """Absolute and Dirichlet zetas: degree q = 1 adds a second family of
+    interval modes ``k >= 1`` (the circle's functions and 1-forms share one
+    spectrum)."""
+    row0, rows = _cylinder_rows(a, L, s)
+    families = 1 + q
+    return row0 + families * rows, families * rows
+
+
+REFERENCE_GRID = [(0.25, 4 * math.pi), (0.006, 2 * math.pi), (1.0, 2 * math.pi), (4.0, math.pi)]
+
+
+class TestProductZetaReference:
+    @pytest.mark.parametrize("a,L", REFERENCE_GRID)
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_within_error_bound(self, a, L, q, s):
+        sabs, sdir = product_laplacian_spectra(a, L, q)
+        for spec, ref in zip((sabs, sdir), _reference(a, L, q, s)):
+            z = zeta(spec, s)
+            assert abs(mp.mpf(z.value) - ref) <= z.error_bound
+            assert z.error_bound < 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("a,L", REFERENCE_GRID)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_negative_control(self, a, L, s):
+        # a cylinder longer by one part in 1e9 must fall outside the bound.
+        # The Dirichlet zeta is used: at small a the absolute zeta is its
+        # k = 0 row, which does not depend on a.
+        _, sdir = product_laplacian_spectra(a * (1 + 1e-9), L, 0)
+        z = zeta(sdir, s)
+        assert abs(mp.mpf(z.value) - _reference(a, L, 0, s)[1]) > z.error_bound
+
+
+class TestComputedBounds:
+    @pytest.mark.parametrize("L", [0.7, 2 * math.pi, 9.0])
+    def test_affine_bound_is_float_rounding(self, L):
+        # eigenvalues coeff k^2 twice, with coeff the float the spectrum holds
+        N = circle_form_spectrum(L, 0)
+        with mp.workdps(50):
+            coeff = mp.mpf(N.coeff)
+            exact = 2 * coeff ** -3 * mp.zeta(6)
+            exact_logdet = 2 * mp.log(2 * mp.pi) - mp.log(coeff)
+        for z, ref in ((zeta(N, 3), exact), (logdet_star(N), exact_logdet)):
+            assert abs(mp.mpf(z.value) - ref) <= z.error_bound
+            assert 0 < z.error_bound <= 4 * np.spacing(abs(z.value))
+
+    @pytest.mark.parametrize("a", [0.05, 1.0, 1000.0])
+    def test_dtn_bound_covers_exact_logdet(self, a):
+        # the branch-pair logs vanish exactly, so log det* is ln(2/a) plus the
+        # circle's 2 ln 2pi - ln coeff
+        dtn = product_dtn_spectrum(a, 2 * math.pi, 0)
+        z = logdet_star(dtn)
+        with mp.workdps(50):
+            exact = mp.log(2 / mp.mpf(a)) + 2 * mp.log(2 * mp.pi) - mp.log(mp.mpf(dtn.base_q.coeff))
+        assert abs(mp.mpf(z.value) - exact) <= z.error_bound
+        assert np.spacing(abs(z.value)) / 2 <= z.error_bound <= 1e-14
+
+    def test_dtn_zeta_bound_above_float_resolution(self):
+        z = zeta(product_dtn_spectrum(1.0, 2 * math.pi, 0), 4)
+        assert np.spacing(abs(z.value)) / 2 <= z.error_bound <= 1e-14
+        with pytest.raises(ValueError):
+            zeta(product_dtn_spectrum(1.0, 2 * math.pi, 0), -1)
