@@ -24,12 +24,14 @@ All algebra is exact (sympy); no floating point enters this module.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from math import comb
 
 import sympy as sp
 from sympy import Derivative, Function, Matrix, Rational, Symbol, eye, sqrt, zeros
 from sympy.core.function import AppliedUndef
+from sympy.polys.rings import PolyRing
 
 __all__ = [
     "JetResolutionError",
@@ -623,16 +625,60 @@ def star_compose(comp_a: dict[int, Matrix], comp_b: dict[int, Matrix],
 
 
 def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
-    """Canonical rational form of a symbol-calculus scalar.
+    """Canonical Laurent form of a symbol-calculus scalar.
 
-    Eliminates the square root of the principal symbol by the degree-1
-    generator relation (``w -> v`` with ``v**2 = |xi|_g^2 + lam``) and puts the
-    result over a common denominator; identities reduce to literal 0.
+    Replaces the principal symbol ``w`` by a generator ``v`` through the
+    relation ``v**2 = |xi|_g^2 + lam``, imposed by eliminating
+    ``lam = v**2 - |xi|_g^2`` (so ``w = sqrt(v**2) = v``), and shifts the
+    spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
+    Every denominator the calculus produces is a power of ``w`` or of
+    ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so afterwards every
+    denominator is a monomial in ``t`` and ``v``.  The remaining variables
+    (``t, v, xi`` and the jet atoms) are algebraically independent and both
+    substitutions are invertible, so the expression has exactly one expansion
+    as a Laurent polynomial in them: literal 0 exactly when the identity holds.
+    Raises ``ValueError`` when any other base is left under a negative or
+    fractional power, where no such expansion exists.
+
+    The expansion is computed in a sparse polynomial ring over ``QQ(i)``
+    whose generators include ``1/t`` and ``1/v``, one conversion per distinct
+    subexpression.  ``t * (1/t)`` and ``v * (1/v)`` are cancelled in the ring,
+    so an identity comes out as the zero polynomial before any expression is
+    built.
+    Expressions already evaluated at the boundary point (no coefficient
+    functions left) carry the metric there, ``g^{ab} = delta^{ab}``.
     """
-    base = ch.w ** 2
+    xi_sq = ch.w ** 2 - ch.lam
+    if not expr.atoms(AppliedUndef):
+        xi_sq = ch.eval_at_boundary_point(xi_sq)
     v = Symbol("v_princ", positive=True)
-    e = expr.subs(sp.sqrt(base), v).subs(base, v ** 2)
-    return sp.cancel(sp.together(sp.expand(e)))
+    t = Symbol("t_gap")
+    e = expr.xreplace({ch.lam: v ** 2 - xi_sq, ch.mu: t + v})
+    atoms = e.atoms(Symbol, AppliedUndef, Derivative) - {t, v}
+    ring = PolyRing([t, 1 / t, v, 1 / v, *atoms], sp.QQ_I)
+    poly = dict(zip(ring.symbols, ring.gens))
+
+    def convert(x):
+        if x not in poly:
+            if x.is_Add:
+                poly[x] = sum((convert(a) for a in x.args), ring.zero)
+            elif x.is_Mul:
+                poly[x] = math.prod((convert(a) for a in x.args), start=ring.one)
+            elif x.is_Pow and x.exp.is_Integer and (x.exp > 0 or x.base in (t, v)):
+                base = x.base if x.exp > 0 else 1 / x.base
+                poly[x] = convert(base) ** abs(int(x.exp))
+            elif x.is_Number or x is II:
+                poly[x] = ring(x)
+            else:
+                raise ValueError(f"{x} is not a Laurent monomial in mu - w and w")
+        return poly[x]
+
+    terms = {}
+    for (tp, tn, vp, vn, *rest), c in convert(e).items():
+        k, l = min(tp, tn), min(vp, vn)
+        mono = (tp - k, tn - k, vp - l, vn - l, *rest)
+        terms[mono] = terms.get(mono, ring.domain.zero) + c
+    return ring.from_dict(terms).as_expr()
 
 
 def riccati_residual(ch: BoundaryChart) -> dict[int, Matrix]:

@@ -109,7 +109,13 @@ def _interval_sum_fn(s: int):
 
 
 def interval_mode_sum(s: int, t):
-    """Exact-formula value of ``sum_{k>=1} (k^2 + t)^{-s}`` (vectorized in t)."""
+    """Exact-formula value of ``sum_{k>=1} (k^2 + t)^{-s}`` (vectorized in t).
+
+    Raises ``ValueError`` for ``t < 1``, where the closed form cancels
+    catastrophically (relative error 1e-4 at ``t = 1e-4``).
+    """
+    if np.any(np.asarray(t) < 1):
+        raise ValueError("closed interval-mode sum is accurate only for t >= 1")
     return _interval_sum_fn(int(s))(t)
 
 
@@ -200,13 +206,15 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
     cross-section zeta at 0 back once.
     """
     with mp.workdps(dps):
-        total = mp.mpf(0)
+        total = magnitude = mp.mpf(0)
         for base, k0 in spec._families():
             base_zeta0 = base.mult * riemann_zeta(0, dps)  # continuation of positive part
             total += -mp.mpf(base.kernel_dim) / 2 - base_zeta0 / 2
+            magnitude += mp.mpf(base.kernel_dim) / 2 + abs(base_zeta0) / 2
             if k0 == 0:
                 total += base_zeta0
-        return ZetaValue(float(total), 0.0, "family-continuation")
+                magnitude += abs(base_zeta0)
+        return ZetaValue(float(total), _float_rounding(total, magnitude), "family-continuation")
 
 
 _DTN_MAX_TERMS = 10_000

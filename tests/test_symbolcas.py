@@ -84,6 +84,17 @@ class TestChartStructure:
                                for i in range(ch.d) for j in range(ch.d)) - ch.lam
         assert canonical_zero_form(ch, expr) == 0
 
+    def test_canonical_zero_form_shifts_mu(self):
+        # partial fractions in mu - w and w: zero only after the gap shift
+        ch = chart(2, 0)
+        expr = ch.mu / (ch.w * (ch.mu - ch.w)) - 1 / (ch.mu - ch.w) - 1 / ch.w
+        assert canonical_zero_form(ch, expr) == 0
+
+    def test_canonical_zero_form_rejects_other_denominators(self):
+        ch = chart(2, 0)
+        with pytest.raises(ValueError):
+            canonical_zero_form(ch, 1 / (ch.mu + ch.w))
+
     def test_jet_resolution_error(self):
         ch = chart(2, 0)
         too_deep = sp.diff(ch.gu[0, 0], ch.ym, 3)
@@ -137,3 +148,29 @@ class TestGradedIdentities:
         defect = parametrix_defect(ch)
         for k, M in defect.items():
             assert M == zeros(*M.shape), f"order {k} defect nonzero"
+
+    @staticmethod
+    def _perturbed_defect(ch, piece):
+        """Order -2 parametrix defect with ``r3`` replaced by ``r3 - 3/1000 piece``."""
+        a1t, a0t, am1t = ch.alphas_tilde()
+        res = ch.resolvent()
+        A = {1: ch.mu * ch.Id_proj - a1t, 0: -a0t, -1: -am1t}
+        B = {-1: res["r1"], -2: res["r2"], -3: res["r3"] - sp.Rational(3, 1000) * res[piece]}
+        return star_compose(A, B, ch, orders=(-2,))[-2]
+
+    @pytest.mark.parametrize("piece", ["I", "III", "V1", "V2", "V5", "V8"])
+    def test_parametrix_negative_control(self, piece):
+        # the order -2 defect must see a small change in any piece of r_{-3}
+        ch = chart(2, 0)
+        C = self._perturbed_defect(ch, piece)
+        assert C.applyfunc(lambda e: canonical_zero_form(ch, e)) != zeros(*C.shape)
+
+    def test_normal_form_matches_generic_expand(self):
+        # reference: the same substitutions, expanded by sympy's generic expand
+        ch = chart(2, 0)
+        v, t = Symbol("v_princ", positive=True), Symbol("t_gap")
+        xi_sq = ch.w ** 2 - ch.lam
+        (e,) = self._perturbed_defect(ch, "V5")
+        ref = sp.expand(e.xreplace({ch.lam: v ** 2 - xi_sq, ch.mu: t + v}))
+        form = canonical_zero_form(ch, e)
+        assert form != 0 and sp.expand(form - ref) == 0
