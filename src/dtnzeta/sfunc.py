@@ -6,9 +6,14 @@ expansion is turned into a spectral density:
 * ``SFunction`` -- a thin wrapper around a sympy expression in the complex
   variable ``s`` built from rational functions, exponential scalings ``c**(-s)``
   and Gamma-function ratios.  It supports exact evaluation, exact derivative at
-  a point and high-precision numeric evaluation.
+  a point and high-precision numeric evaluation.  The point values come from
+  the jet of a sum ``sum_i c_i f_i(s)``: the terms are grouped by their few
+  distinct ``s``-factors ``f_i``, and each factor's Laurent coefficients are
+  computed once per point (``subs``/``diff`` of the Gamma-simplified factor,
+  ``series`` only at a pole).  A pole part that does not cancel, or a branch
+  point, raises ``DomainError``.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
-  ``Gamma(s - k) / Gamma(s)``.
+  ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
   expressed as a prefactor in ``s`` times a power of ``z``.
 * ``xi_moment`` -- the exact monomial moment
@@ -62,33 +67,72 @@ class SFunction:
 
     def value_at(self, s0) -> sp.Expr:
         """Exact value at ``s = s0`` (limit if removable)."""
-        s0 = sp.sympify(s0)
-        direct = self.expr.subs(S, s0)
-        if direct.has(sp.zoo, sp.nan) or direct is sp.nan:
-            direct = sp.limit(self.expr, S, s0)
-        if direct.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-            raise DomainError(f"pole of SFunction at s = {s0}")
-        return sp.simplify(direct)
+        return sp.simplify(_jet(self.expr, sp.sympify(s0))[0])
 
     def deriv_at(self, s0) -> sp.Expr:
         """Exact derivative value at ``s = s0`` (limit if removable)."""
-        s0 = sp.sympify(s0)
-        d = sp.diff(self.expr, S)
-        direct = d.subs(S, s0)
-        if direct.has(sp.zoo, sp.nan) or direct is sp.nan:
-            ser = sp.series(self.expr, S, s0, 2)
-            if ser.has(sp.Order):
-                ser = ser.removeO()
-            direct = sp.diff(ser, S).subs(S, s0)
-        if direct.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-            raise DomainError(f"pole of SFunction derivative at s = {s0}")
-        return sp.simplify(direct)
+        return sp.simplify(_jet(self.expr, sp.sympify(s0))[1])
 
     def numeric(self, s0, dps: int = 30) -> mp.mpf:
         """Numeric value at real ``s0`` with ``dps`` working digits."""
         with mp.workdps(dps):
             f = sp.lambdify(S, self.expr, modules="mpmath")
             return f(mp.mpf(s0))
+
+
+# ---------------------------------------------------------------------------
+# Jets at a point
+# ---------------------------------------------------------------------------
+
+def _branch_point(f: sp.Expr, s0: sp.Expr) -> bool:
+    """Whether a power or logarithm in ``f`` branches at ``s = s0``."""
+    roots = [p.base for p in f.atoms(sp.Pow) if p.base.has(S) and not p.exp.is_integer]
+    roots += [g.args[0] for g in f.atoms(sp.log) if g.has(S)]
+    return any(r.subs(S, s0) == 0 for r in roots)
+
+
+@lru_cache(maxsize=None)
+def _factor_laurent(factor: sp.Expr, s0: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
+    """Laurent coefficients ``(k, c_k)`` (``k <= 1``) of ``factor`` at ``s = s0``.
+
+    The factor is Gamma-simplified first.  Where it is regular, ``subs`` and
+    ``diff`` give its two Taylor coefficients; only at a pole is it expanded
+    with ``series``.  Raises :class:`DomainError` at a branch point.
+    """
+    f = sp.gammasimp(factor)
+    if _branch_point(f, s0):
+        raise DomainError(f"branch point of {factor} at s = {s0}")
+    taylor = (f.subs(S, s0), sp.diff(f, S).subs(S, s0))
+    if not any(c.has(sp.zoo, sp.nan, sp.oo, -sp.oo) for c in taylor):
+        return tuple(enumerate(taylor))
+    out: dict[int, sp.Expr] = {}
+    for term in sp.Add.make_args(sp.expand(sp.series(f.subs(S, S + s0), S, 0, 2).removeO())):
+        c, k = term.as_coeff_exponent(S)
+        if c.has(S) or not k.is_integer:
+            raise DomainError(f"branch point of {factor} at s = {s0}")
+        out[int(k)] = out.get(int(k), sp.Integer(0)) + c
+    return tuple(out.items())
+
+
+def _jet(expr: sp.Expr, s0: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
+    """Value and first derivative at ``s = s0`` of ``expr = sum_i c_i f_i(s)``.
+
+    Terms are grouped by their ``s``-dependent factor ``f_i``; the Laurent
+    coefficients of each distinct factor are computed once and combined with
+    the ``s``-free coefficients ``c_i``.  Raises :class:`DomainError` unless
+    the combined pole part vanishes.
+    """
+    groups: dict[sp.Expr, sp.Expr] = {}
+    for term in sp.Add.make_args(expr):
+        coeff, factor = term.as_independent(S, as_Add=False)
+        groups[factor] = groups.get(factor, sp.Integer(0)) + coeff
+    jet: dict[int, sp.Expr] = {}
+    for factor, coeff in groups.items():
+        for k, c in _factor_laurent(factor, s0):
+            jet[k] = jet.get(k, sp.Integer(0)) + coeff * c
+    if any(k < 0 and sp.simplify(c) != 0 for k, c in jet.items()):
+        raise DomainError(f"pole of SFunction at s = {s0}")
+    return jet.get(0, sp.Integer(0)), jet.get(1, sp.Integer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +152,7 @@ def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
     (value, derivative) : pair of exact sympy expressions.
     """
     k = sp.Rational(Fraction(str(k))) if not isinstance(k, (int, sp.Basic)) else sp.sympify(k)
-    ratio = sp.gamma(S - k) / sp.gamma(S)
-    ser = sp.series(ratio, S, 0, 2).removeO()
-    value = ser.subs(S, 0)
-    deriv = sp.diff(ser, S).subs(S, 0)
+    value, deriv = _jet(sp.gamma(S - k) / sp.gamma(S), sp.Integer(0))
     return sp.simplify(value), sp.simplify(deriv)
 
 

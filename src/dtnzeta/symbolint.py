@@ -100,14 +100,23 @@ def boundary_reduce(ch: BoundaryChart, scalar, *, apply_post: bool = True) -> sp
 
 
 def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
-    """Verify that every must-cancel jet symbol has coefficient zero."""
+    """Verify that every monomial in the must-cancel jet symbols has
+    coefficient zero, and return the expanded ``expr`` without them."""
     survivors = expr.free_symbols & ch.must_cancel
-    for sym in survivors:
-        coeff = sp.simplify(sp.gammasimp(sp.expand(expr.coeff(sym))))
+    if not survivors:
+        return expr
+    kept, coeffs = [], {}
+    for term in sp.Add.make_args(sp.expand(expr)):
+        coeff, mono = term.as_independent(*survivors, as_Add=False)
+        if mono == 1:
+            kept.append(term)
+        else:
+            coeffs[mono] = coeffs.get(mono, sp.Integer(0)) + coeff
+    for mono, coeff in coeffs.items():
+        coeff = sp.simplify(sp.gammasimp(sp.expand(coeff)))
         if coeff != 0:
-            raise CancellationError(f"jet symbol {sym} survived with coefficient {coeff}")
-        expr = sp.expand(expr.subs(sym, 0))
-    return expr
+            raise CancellationError(f"jet monomial {mono} survived with coefficient {coeff}")
+    return sp.Add(*kept)
 
 
 def transform(ch: BoundaryChart, mat, **kw) -> sp.Expr:
@@ -141,7 +150,7 @@ def a0_density(m: int, q: int) -> sp.Expr:
     leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
     if leftovers:
         raise CancellationError(f"unresolved symbols in density: {leftovers}")
-    return sp.simplify(val)
+    return val
 
 
 def q_density(m: int, q: int) -> sp.Expr:
@@ -159,7 +168,7 @@ def pi0_density(q: int) -> sp.Expr:
     """Leading boundary zeta density in ambient dimension 3 (from ``r_{-1}``)."""
     ch = chart(3, q)
     F = SFunction(transform(ch, ch.resolvent()["r1"]))
-    return sp.simplify(-F.deriv_at(0))
+    return -F.deriv_at(0)
 
 
 def interior_coefficient_difference(q: int) -> sp.Expr:

@@ -220,11 +220,14 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
 _DTN_MAX_TERMS = 10_000
 
 
+@lru_cache(maxsize=1)
 def _dtn_correction_terms(spec: DtnProductSpectrum, dps: int, tol: float = 1e-25):
     """Branch-pair corrections ``(lam, mult, c_plus, c_minus)`` until negligible.
 
     Raises ``ValueError`` if the corrections are still above ``tol`` after
-    ``_DTN_MAX_TERMS`` cross-section modes (a very short cylinder).
+    ``_DTN_MAX_TERMS`` cross-section modes (a very short cylinder).  The last
+    spectrum's series is kept, so ``logdet_star`` and ``zeta`` of one DtN
+    spectrum share it.
     """
     out = []
     with mp.workdps(dps):
@@ -235,7 +238,7 @@ def _dtn_correction_terms(spec: DtnProductSpectrum, dps: int, tol: float = 1e-25
             cm = 2 / (mp.e ** x + 1)
             out.append((lam, spec.base_q.mult, cp, cm))
             if cp < tol and cm < tol:
-                return out
+                return tuple(out)
     raise ValueError(
         f"DtN branch-pair series not below {tol:g} after {_DTN_MAX_TERMS} terms "
         f"(a = {spec.a:g}; last correction {float(cp):.3g})")

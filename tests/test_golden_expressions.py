@@ -1,0 +1,35 @@
+"""The emitted exact expressions must not change form.
+
+``tests/data/golden_expressions.json`` holds the ``str()`` of every boundary
+density, ``pi0_density`` and the Gamma-ratio jets at zero, recorded before the
+s-jet moved to per-factor Laurent coefficients.  The semantic checks in
+``test_symbolint.py`` would accept any equal expression; this test requires
+the same string.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+import sympy as sp
+
+from dtnzeta.sfunc import gamma_ratio_at_zero
+from dtnzeta.symbolint import a0_density, pi0_density, q_density
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_expressions.json").read_text())
+
+
+@pytest.mark.parametrize("m,q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_densities(m, q):
+    assert str(a0_density(m, q)) == GOLDEN[f"a0_density({m}, {q})"]
+    assert str(q_density(m, q)) == GOLDEN[f"q_density({m}, {q})"]
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_pi0_density(q):
+    assert str(pi0_density(q)) == GOLDEN[f"pi0_density({q})"]
+
+
+@pytest.mark.parametrize("k", ["1", "1/2", "2"])
+def test_gamma_ratio_at_zero(k):
+    assert [str(e) for e in gamma_ratio_at_zero(sp.Rational(k))] == GOLDEN[f"gamma_ratio_at_zero({k})"]

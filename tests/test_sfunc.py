@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtnzeta.sfunc import (
@@ -160,3 +160,46 @@ class TestSFunction:
         h = 1e-6
         numeric = float((f.numeric(h) - f.numeric(-h)) / (2 * h))
         assert abs(exact - numeric) < 1e-8
+
+
+# factor shapes of the pipeline: s^a Gamma(s/2 + p) / Gamma(s/2 + r), with
+# p, r half-integers; the coefficients are free symbols
+HALF = st.integers(min_value=-3, max_value=4).map(lambda n: sp.Rational(n, 2))
+FACTOR = st.tuples(st.integers(min_value=0, max_value=2), HALF, HALF)
+
+
+class TestJet:
+    @settings(max_examples=20)
+    @given(st.lists(FACTOR, min_size=1, max_size=3, unique=True))
+    def test_matches_series_of_whole_sum(self, shapes):
+        cs = sp.symbols(f"c0:{len(shapes)}")
+        expr = sum(c * S ** a * sp.gamma(S / 2 + p) / sp.gamma(S / 2 + r)
+                   for c, (a, p, r) in zip(cs, shapes))
+        ser = sp.expand(sp.series(expr, S, 0, 2).removeO())
+        pole = [ser.coeff(S, -k) for k in range(1, 4)]
+        f = SFunction(expr)
+        if any(sp.simplify(c) != 0 for c in pole):
+            with pytest.raises(DomainError):
+                f.value_at(0)
+            return
+        for got, want in ((f.value_at(0), ser.coeff(S, 0)), (f.deriv_at(0), ser.coeff(S, 1))):
+            # both sides are linear in the free coefficients
+            got = sp.expand(got)
+            for c in cs:
+                diff = got.coeff(c) - want.coeff(c)
+                assert diff == 0 or abs(sp.N(diff, 40)) < 1e-35
+
+    def test_pole_cancels_across_factors(self):
+        f = SFunction(sp.gamma(S) - 1 / S)
+        assert f.value_at(0) == -sp.EulerGamma
+        assert sp.simplify(f.deriv_at(0) - sp.EulerGamma ** 2 / 2 - sp.pi ** 2 / 12) == 0
+
+    @pytest.mark.parametrize("expr", [sp.gamma(S), 1 / S ** 2, sp.sqrt(S), S ** sp.Rational(3, 2)])
+    def test_pole_or_branch_point_raises(self, expr):
+        for method in (SFunction.value_at, SFunction.deriv_at):
+            with pytest.raises(DomainError):
+                method(SFunction(expr), 0)
+
+    def test_branch_point_elsewhere_is_regular(self):
+        f = SFunction(sp.sqrt(S))
+        assert f.value_at(1) == 1 and f.deriv_at(1) == sp.Rational(1, 2)

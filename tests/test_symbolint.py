@@ -6,6 +6,8 @@ import sympy as sp
 from dtnzeta.symbolcas import chart
 from dtnzeta.symbolint import (
     TERM_LABELS,
+    CancellationError,
+    _assert_cancellations,
     a0_density,
     a0_reference,
     a1_coefficient,
@@ -97,3 +99,26 @@ class TestScalingDegrees:
         sub = {k: k / c for k in ch.kappas}
         sub.update({ch.tauM: ch.tauM / c ** 2, ch.tauY: ch.tauY / c ** 2})
         assert _exact_zero(dens.subs(sub) - dens / c ** (m - 1))
+
+
+class TestAssertCancellations:
+    """Every monomial in the must-cancel jets needs a zero coefficient, not
+    only the linear one."""
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b, tau: a ** 2 + tau,
+        lambda a, b, tau: a * b,
+        lambda a, b, tau: a ** 2 * sp.gamma(sp.Symbol("s")) + tau,
+    ])
+    def test_nonlinear_survivor_raises(self, make):
+        ch = chart(3, 0)
+        a, b = sorted(ch.must_cancel, key=str)[:2]
+        with pytest.raises(CancellationError):
+            _assert_cancellations(ch, make(a, b, ch.tauM))
+
+    def test_cancelled_monomials_are_dropped(self):
+        ch = chart(3, 0)
+        a, b = sorted(ch.must_cancel, key=str)[:2]
+        s = sp.Symbol("s")
+        expr = a * b * sp.gamma(s + 1) - a * b * s * sp.gamma(s) + ch.tauM
+        assert _assert_cancellations(ch, expr) == ch.tauM

@@ -17,6 +17,7 @@ from dtnzeta.spectra import (
     product_dtn_spectrum,
     product_laplacian_spectra,
 )
+from dtnzeta import zetadet
 from dtnzeta.zetadet import interval_mode_sum, logdet_star, zeta, zeta_at_zero
 
 
@@ -172,6 +173,26 @@ class TestDtnZeta:
         brute = (a / 2) ** s + 2 * np.sum((n / t) ** -s + (n * t) ** -s)
         dtn = product_dtn_spectrum(a, 2 * math.pi, 0)
         assert abs(zeta(dtn, s).value - brute) < 1e-10
+
+
+class TestDtnSeriesMemo:
+    """One branch-pair series per DtN spectrum, shared by its log-det and zeta."""
+
+    def test_one_series_per_gluing_check(self):
+        terms = zetadet._dtn_correction_terms
+        for a, q in ((0.5, 0), (1.0, 1), (0.5, 1)):
+            terms.cache_clear()
+            zetadet.verify_product_gluing(a, 2 * math.pi, q)
+            info = terms.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_values_unchanged(self, a, monkeypatch):
+        dtn = product_dtn_spectrum(a, 2 * math.pi, 1)
+        memo = [(logdet_star(dtn), zeta_at_zero(dtn), zeta(dtn, 2)) for _ in range(2)]
+        monkeypatch.setattr(zetadet, "_dtn_correction_terms",
+                            zetadet._dtn_correction_terms.__wrapped__)
+        assert memo == [(logdet_star(dtn), zeta_at_zero(dtn), zeta(dtn, 2))] * 2
 
 
 # ---------------------------------------------------------------------------
