@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("dimension must be 2 or 3")
         if not 0 <= self.q <= self.m - 1:
             raise ValueError(f"degree {self.q} out of range for dimension {self.m}")
+        if not (math.isfinite(self.a) and math.isfinite(self.L)):
+            raise ValueError("cylinder parameters must be finite")
         if self.a <= 0 or self.L <= 0:
             raise ValueError("cylinder parameters must be positive")
 
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
         return 3
     except (KeyError, ValueError) as exc:
         print(f"error: schema-or-range: {exc}", file=sys.stderr)
+        return 4
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"error: schema-or-range: parameters outside the float64 range "
+              f"of the pipeline ({type(exc).__name__})", file=sys.stderr)
         return 4
     if cfg.output:
         with open(cfg.output, "w") as fh:

@@ -6,8 +6,9 @@ boundary and the symbol expansion of the associated Dirichlet-to-Neumann
 operator on tangential forms:
 
 * generic-coefficient model of the operator in boundary normal coordinates:
-  metric functions ``g^{ab}``, ``ln|g|``, connection matrices ``omega_k``,
-  curvature endomorphism ``E``, Christoffel symbols;
+  inverse metric ``g^{ab}``, ``ln|g|``, connection matrices ``omega_k``,
+  curvature endomorphism ``E``, Christoffel symbols, each a jet symbol with
+  an exact total derivative (:func:`_jet_symbol`, :func:`_derive`);
 * the degree-graded solution ``alpha_1, alpha_0, alpha_{-1}`` of the quadratic
   (Riccati-type) symbol equation;
 * projection onto the tangential sub-bundle and the corrected projected
@@ -29,8 +30,8 @@ from functools import lru_cache
 from math import comb
 
 import sympy as sp
-from sympy import Derivative, Function, Matrix, Rational, Symbol, eye, sqrt, zeros
-from sympy.core.function import AppliedUndef
+from sympy import Add, Matrix, Mul, Pow, Rational, S, Symbol, eye, sqrt, zeros
+from sympy.matrices.exceptions import ShapeError
 from sympy.polys.rings import PolyRing
 
 __all__ = [
@@ -55,6 +56,89 @@ class JetResolutionError(ValueError):
 def _jet(name: str) -> Symbol:
     """Symbol for a jet value with no closed form at the boundary point."""
     return Symbol(name, real=True)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient jets and their total derivative
+# ---------------------------------------------------------------------------
+
+def _jet_symbol(fname: str, counts: tuple[int, ...]) -> Symbol:
+    """The jet ``d^counts fname`` of a generic coefficient, e.g. ``gu11@010``.
+
+    ``counts`` holds one derivative count per coordinate ``(y_1, .., y_m)``,
+    the normal coordinate last.  :func:`_jet_key` inverts the naming.
+    """
+    if max(counts) > 9:
+        raise ValueError(f"jet order above 9 in one direction: {fname} {counts}")
+    return Symbol(f"{fname}@{''.join(map(str, counts))}")
+
+
+@lru_cache(maxsize=None)
+def _jet_key(sym: Symbol) -> tuple[str, tuple[int, ...]] | None:
+    """``(fname, counts)`` of a coefficient jet symbol; ``None`` for any other."""
+    fname, at, digits = sym.name.partition("@")
+    return (fname, tuple(map(int, digits))) if at else None
+
+
+@lru_cache(maxsize=None)
+def _derive(expr: sp.Expr, var) -> sp.Expr:
+    """Exact derivative of ``expr`` along ``var``.
+
+    ``var`` is a coordinate index ``k`` (total derivative ``D_k``, which takes
+    the jet ``f_alpha`` to ``f_{alpha + e_k}`` and every other symbol to 0) or
+    a symbol (ordinary partial derivative; coefficient jets are constant).
+    Only ``Add``, ``Mul`` and ``Pow`` with a numeric exponent are
+    differentiated; any other node raises ``TypeError``.  Memoized for the
+    process, like :func:`chart`: ``star_compose`` and the resolvent take the
+    same derivatives of the same symbol entries many times over.
+    """
+    if expr.is_Symbol:
+        if not isinstance(var, int):
+            return S.One if expr == var else S.Zero
+        key = _jet_key(expr)
+        if key is None:
+            return S.Zero
+        fname, counts = key
+        return _jet_symbol(fname, counts[:var] + (counts[var] + 1,) + counts[var + 1:])
+    if expr.is_Atom:
+        return S.Zero
+    if expr.is_Add:
+        return Add(*[_derive(a, var) for a in expr.args])
+    if expr.is_Mul:
+        args = expr.args
+        terms = []
+        for i, a in enumerate(args):
+            da = _derive(a, var)
+            if da != 0:
+                terms.append(Mul(*args[:i], da, *args[i + 1:]))
+        return Add(*terms)
+    if expr.is_Pow and expr.exp.is_Number:
+        db = _derive(expr.base, var)
+        if db == 0:
+            return S.Zero
+        return Mul(expr.exp, Pow(expr.base, expr.exp - 1), db)
+    raise TypeError(f"cannot differentiate {type(expr).__name__}: {expr}")
+
+
+def _diff(X, var):
+    """:func:`_derive` of a scalar, or entrywise of a matrix."""
+    if isinstance(X, sp.MatrixBase):
+        return X.applyfunc(lambda e: _derive(e, var))
+    return _derive(X, var)
+
+
+def _mm(A: Matrix, B: Matrix) -> Matrix:
+    """Matrix product summing only the structurally nonzero ``A[i,k] B[k,j]``.
+
+    Equal to ``A * B``, without the ``0 * entry`` infinity probe sympy makes
+    on every nonzero entry: no chart entry is infinite, so ``0 * entry`` is 0.
+    """
+    if A.cols != B.rows:
+        raise ShapeError(f"matrix size mismatch: {A.shape} * {B.shape}")
+    rows = [[(k, a) for k in range(A.cols) if (a := A[i, k]) != 0] for i in range(A.rows)]
+    cols = [{k: b for k in range(B.rows) if (b := B[k, j]) != 0} for j in range(B.cols)]
+    return Matrix(A.rows, B.cols,
+                  lambda i, j: Add(*[a * cols[j][k] for k, a in rows[i] if k in cols[j]]))
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +196,11 @@ def connection_matrices(m: int, q: int, kappas) -> list[Matrix]:
 class BoundaryChart:
     """Generic-coefficient boundary model for the pair ``(m, q)``.
 
-    Every metric/connection coefficient is an undetermined sympy ``Function``
-    of the boundary normal coordinates, so that symbol manipulations produce
-    genuine jets; a separate substitution table
-    (:meth:`eval_at_boundary_point`) evaluates at the distinguished point.
+    Every metric/connection coefficient is the order-0 jet symbol of a
+    generic function of the boundary normal coordinates (:func:`_jet_symbol`);
+    ``d_y`` and ``d_norm`` take jets to higher jets exactly, so symbol
+    manipulations produce genuine jets.  A separate substitution table
+    (:meth:`eval_at_boundary_point`) evaluates them at the distinguished point.
     """
 
     def __init__(self, m: int, q: int):
@@ -128,9 +213,6 @@ class BoundaryChart:
         self.n_full = comb(m, q)
         self.n_proj = comb(m - 1, q)
 
-        self.ys = [Symbol(f"y{a}", real=True) for a in range(1, m)]
-        self.ym = Symbol("ym", real=True)
-        self.coords = (*self.ys, self.ym)
         self.xis = [Symbol(f"xi{a}", real=True) for a in range(1, m)]
         self.lam = Symbol("lam", positive=True)
         self.mu = Symbol("mu")
@@ -140,50 +222,30 @@ class BoundaryChart:
             self.kappas = [Symbol(f"kappa{a}", real=True) for a in range(1, m)]
         self.tauM = Symbol("tauM", real=True)
         self.tauY = Symbol("tauY", real=True)
+        coef = lambda name: _jet_symbol(name, (0,) * m)
 
-        # inverse metric g^{ab}, shared symmetric functions
-        self.gu = sp.zeros(self.d, self.d)
-        self._gu_fun = {}
-        for a in range(self.d):
-            for b in range(a, self.d):
-                f = Function(f"gu{a + 1}{b + 1}")(*self.coords)
-                self._gu_fun[(a, b)] = f
-                self.gu[a, b] = f
-                self.gu[b, a] = f
-        self.lng = Function("lng")(*self.coords)
+        # inverse metric g^{ab}, one jet per unordered index pair
+        self.gu = Matrix(self.d, self.d,
+                         lambda a, b: coef(f"gu{min(a, b) + 1}{max(a, b) + 1}"))
+        self.lng = coef("lng")
 
-        # connection matrices as functions; index k = 1..m (m = normal)
-        self.om = []
-        for k in range(1, m + 1):
-            Mk = zeros(self.n_full, self.n_full)
-            for i in range(self.n_full):
-                for j in range(self.n_full):
-                    Mk[i, j] = Function(f"om{k}_{i}_{j}")(*self.coords)
-            self.om.append(Mk)
+        # connection matrices; index k = 1..m (m = normal)
+        n = self.n_full
+        self.om = [Matrix(n, n, lambda i, j: coef(f"om{k}_{i}_{j}")) for k in range(1, m + 1)]
 
-        # curvature endomorphism (generic symmetric function entries)
-        self.E = zeros(self.n_full, self.n_full)
-        for i in range(self.n_full):
-            for j in range(i, self.n_full):
-                f = Function(f"EE_{i}_{j}")(*self.coords)
-                self.E[i, j] = f
-                self.E[j, i] = f
+        # curvature endomorphism (generic symmetric entries)
+        self.E = Matrix(n, n, lambda i, j: coef(f"EE_{min(i, j)}_{max(i, j)}"))
 
         # Christoffel symbols of the boundary metric (tangential indices)
-        self.Gam = {}
-        for c in range(self.d):
-            for a in range(self.d):
-                for b in range(a, self.d):
-                    f = Function(f"Gam{c + 1}_{a + 1}{b + 1}")(*self.coords)
-                    self.Gam[(c, a, b)] = f
-                    self.Gam[(c, b, a)] = f
+        self.Gam = {(c, a, b): coef(f"Gam{c + 1}_{min(a, b) + 1}{max(a, b) + 1}")
+                    for c in range(self.d) for a in range(self.d) for b in range(self.d)}
 
         # principal symbol data
         self.w = sqrt(
             sum(self.gu[a, b] * self.xis[a] * self.xis[b]
                 for a in range(self.d) for b in range(self.d)) + self.lam
         )
-        self.A = -Rational(1, 2) * sp.diff(self.lng, self.ym)
+        self.A = -Rational(1, 2) * self.d_norm(self.lng)
         self.Id = eye(self.n_full)
         self.Id_proj = eye(self.n_proj)
 
@@ -192,13 +254,20 @@ class BoundaryChart:
 
     # -- elementary operations --------------------------------------------
     def d_xi(self, X, a: int):
-        return X.diff(self.xis[a]) if hasattr(X, "diff") else sp.diff(X, self.xis[a])
+        return _diff(X, self.xis[a])
 
     def d_y(self, X, a: int):
-        return X.diff(self.ys[a]) if hasattr(X, "diff") else sp.diff(X, self.ys[a])
+        return _diff(X, a)
 
     def d_norm(self, X):
-        return X.diff(self.ym) if hasattr(X, "diff") else sp.diff(X, self.ym)
+        return _diff(X, self.d)
+
+    def _riccati_coefficients(self, om_m: Matrix) -> tuple[Matrix, Matrix]:
+        """``B = -(A - 2 omega_m)`` and ``C = -(d_m omega_m + omega_m^2 - A omega_m)``
+        of the quadratic symbol equation, on the fiber of ``om_m``."""
+        B = -(self.A * eye(om_m.rows) - 2 * om_m)
+        Cmat = -(self.d_norm(om_m) + _mm(om_m, om_m) - self.A * om_m)
+        return B, Cmat
 
     def project(self, X: Matrix) -> Matrix:
         """Top-left tangential block of a full fiber matrix."""
@@ -215,8 +284,8 @@ class BoundaryChart:
         for b in range(self.d):
             coeff = sp.Integer(0)
             for a in range(self.d):
-                coeff += (Rational(1, 2) * self.gu[a, b] * sp.diff(self.lng, self.ys[a])
-                          + sp.diff(self.gu[a, b], self.ys[a]))
+                coeff += (Rational(1, 2) * self.gu[a, b] * self.d_y(self.lng, a)
+                          + self.d_y(self.gu[a, b], a))
             scal += coeff * self.xis[b]
         M = -II * scal * self.Id
         for a in range(self.d):
@@ -229,8 +298,8 @@ class BoundaryChart:
         M = zeros(self.n_full, self.n_full)
         for a in range(self.d):
             for b in range(self.d):
-                term = self.om[b].applyfunc(lambda e: sp.diff(e, self.ys[a]))
-                term = term + self.om[a] * self.om[b]
+                term = self.d_y(self.om[b], a)
+                term = term + _mm(self.om[a], self.om[b])
                 for c in range(self.d):
                     term = term - self.Gam[(c, a, b)] * self.om[c]
                 M += -self.gu[a, b] * term
@@ -242,20 +311,17 @@ class BoundaryChart:
         key = "alphas_full"
         if key in self._cache:
             return self._cache[key]
-        w, ym = self.w, self.ym
-        om_m = self.om[self.m - 1]
-        B = -(self.A * self.Id - 2 * om_m)            # -(A - 2 omega_m)
-        Cmat = -(om_m.applyfunc(lambda e: sp.diff(e, ym))
-                 + om_m * om_m - self.A * om_m)
+        w = self.w
+        B, Cmat = self._riccati_coefficients(self.om[self.m - 1])
 
         a1 = w * self.Id
         acc = zeros(self.n_full, self.n_full)
         for a in range(self.d):
-            acc += -self.d_xi(a1, a) * (-II * self.d_y(a1, a))
-        acc += self.p1 + B * a1 + self.d_norm(a1)
+            acc += _mm(-self.d_xi(a1, a), -II * self.d_y(a1, a))
+        acc += self.p1 + _mm(B, a1) + self.d_norm(a1)
         a0 = (1 / (2 * w)) * acc
 
-        parts = self._alpha_minus1_parts(a1, a0, a0 * a0, self.p0, B, Cmat)
+        parts = self._alpha_minus1_parts(a1, a0, _mm(a0, a0), self.p0, B, Cmat)
         am1 = (1 / (2 * w)) * sum(parts, zeros(self.n_full, self.n_full))
         self._cache[key] = (a1, a0, am1)
         return self._cache[key]
@@ -267,15 +333,15 @@ class BoundaryChart:
         for a in range(d):
             for b in range(a, d):
                 c = Rational(1, 2) if a == b else sp.Integer(1)
-                P1 += c * self.d_xi(self.d_xi(a1, a), b) * self.d_y(self.d_y(a1, a), b)
+                P1 += _mm(c * self.d_xi(self.d_xi(a1, a), b), self.d_y(self.d_y(a1, a), b))
         P2 = zeros(*a1.shape)
         P3 = zeros(*a1.shape)
         for a in range(d):
-            P2 += II * self.d_xi(a0_left, a) * self.d_y(a1, a)
-            P3 += II * self.d_xi(a1, a) * self.d_y(a0_left, a)
+            P2 += _mm(II * self.d_xi(a0_left, a), self.d_y(a1, a))
+            P3 += _mm(II * self.d_xi(a1, a), self.d_y(a0_left, a))
         P4 = -a0_sq_src
         P5 = p0
-        P6 = B * a0_left
+        P6 = _mm(B, a0_left)
         P7 = self.d_norm(a0_left)
         P8 = Cmat
         return [P1, P2, P3, P4, P5, P6, P7, P8]
@@ -306,12 +372,9 @@ class BoundaryChart:
         a1f, a0f, _ = self.alphas_full()
         a1t = self.w * self.Id_proj
         a0t = self.project(a0f)
-        om_m_t = self.project(self.om[self.m - 1])
-        Bt = -(self.A * self.Id_proj - 2 * om_m_t)
-        Cmat_t = -(om_m_t.applyfunc(lambda e: sp.diff(e, self.ym))
-                   + om_m_t * om_m_t - self.A * om_m_t)
+        Bt, Cmat_t = self._riccati_coefficients(self.project(self.om[self.m - 1]))
         p0t = self.project(self.p0)
-        a0_sq_proj = self.project(a0f * a0f)
+        a0_sq_proj = self.project(_mm(a0f, a0f))
         parts = self._alpha_minus1_parts(a1t, a0t, a0_sq_proj, p0t, Bt, Cmat_t)
         self._cache[key] = parts
         return parts
@@ -333,21 +396,22 @@ class BoundaryChart:
 
         acc = zeros(n, n)
         for a in range(self.d):
-            acc += self.d_xi(a1t, a) * (-II) * self.d_y(r1, a)
-        acc += a0t * r1
+            acc += _mm(self.d_xi(a1t, a) * (-II), self.d_y(r1, a))
+        acc += _mm(a0t, r1)
         r2 = G * acc
 
         T_I = zeros(n, n)
         for a in range(self.d):
             for b in range(a, self.d):
                 c = Rational(1, 2) if a == b else sp.Integer(1)
-                T_I += c * self.d_xi(self.d_xi(a1t, a), b) * (-1) * self.d_y(self.d_y(r1, a), b)
+                T_I += _mm(c * self.d_xi(self.d_xi(a1t, a), b) * (-1),
+                           self.d_y(self.d_y(r1, a), b))
         T_II = zeros(n, n)
         T_III = zeros(n, n)
         for a in range(self.d):
-            T_II += self.d_xi(a1t, a) * (-II) * self.d_y(r2, a)
-            T_III += self.d_xi(a0t, a) * (-II) * self.d_y(r1, a)
-        T_IV = a0t * r2
+            T_II += _mm(self.d_xi(a1t, a) * (-II), self.d_y(r2, a))
+            T_III += _mm(self.d_xi(a0t, a) * (-II), self.d_y(r1, a))
+        T_IV = _mm(a0t, r2)
 
         pieces = {
             "I": G * T_I,
@@ -357,7 +421,7 @@ class BoundaryChart:
         }
         parts = self.alpha_tilde_parts()
         for k, P in enumerate(parts, start=1):
-            pieces[f"V{k}"] = G * ((1 / (2 * self.w)) * P * r1)
+            pieces[f"V{k}"] = G * _mm((1 / (2 * self.w)) * P, r1)
         r3 = sum(pieces.values(), zeros(n, n))
         out = {"r1": r1, "r2": r2, "r3": r3, **pieces}
         self._cache[key] = out
@@ -560,18 +624,8 @@ class BoundaryChart:
         """
         if isinstance(expr, Matrix):
             return expr.applyfunc(self.eval_at_boundary_point)
-        mapping = {}
-        for atom in expr.atoms(AppliedUndef):
-            mapping[atom] = self._resolve_jet(type(atom).__name__, (0,) * self.m)
-        for atom in expr.atoms(Derivative):
-            base = atom.expr
-            if not isinstance(base, AppliedUndef):
-                continue
-            counts = [0] * self.m
-            for var, cnt in atom.variable_count:
-                counts[self.coords.index(var)] = int(cnt)
-            mapping[atom] = self._resolve_jet(type(base).__name__, tuple(counts))
-        return expr.xreplace(mapping)
+        return expr.xreplace({s: self._resolve_jet(*key) for s in expr.free_symbols
+                              if (key := _jet_key(s)) is not None})
 
 
 @lru_cache(maxsize=None)
@@ -619,7 +673,7 @@ def star_compose(comp_a: dict[int, Matrix], comp_b: dict[int, Matrix],
                         for _ in range(cnt):
                             dA = ch.d_xi(dA, a)
                             dB = ch.d_y(dB, a)
-                    acc += (1 / fact) * (-II) ** k * dA * dB
+                    acc += _mm((1 / fact) * (-II) ** k * dA, dB)
         out[N] = acc
     return out
 
@@ -646,15 +700,15 @@ def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
     so an identity comes out as the zero polynomial before any expression is
     built.
     Expressions already evaluated at the boundary point (no coefficient
-    functions left) carry the metric there, ``g^{ab} = delta^{ab}``.
+    jets left) carry the metric there, ``g^{ab} = delta^{ab}``.
     """
     xi_sq = ch.w ** 2 - ch.lam
-    if not expr.atoms(AppliedUndef):
+    if not any(_jet_key(s) for s in expr.free_symbols):
         xi_sq = ch.eval_at_boundary_point(xi_sq)
     v = Symbol("v_princ", positive=True)
     t = Symbol("t_gap")
     e = expr.xreplace({ch.lam: v ** 2 - xi_sq, ch.mu: t + v})
-    atoms = e.atoms(Symbol, AppliedUndef, Derivative) - {t, v}
+    atoms = e.free_symbols - {t, v}
     ring = PolyRing([t, 1 / t, v, 1 / v, *atoms], sp.QQ_I)
     poly = dict(zip(ring.symbols, ring.gens))
 
@@ -691,13 +745,11 @@ def riccati_residual(ch: BoundaryChart) -> dict[int, Matrix]:
     a1, a0, am1 = ch.alphas_full()
     comp = {1: a1, 0: a0, -1: am1}
     lhs = star_compose(comp, comp, ch, orders=(2, 1, 0))
-    om_m = ch.om[ch.m - 1]
-    B = -(ch.A * ch.Id - 2 * om_m)
-    Cmat = -(om_m.applyfunc(lambda e: sp.diff(e, ch.ym)) + om_m * om_m - ch.A * om_m)
+    B, Cmat = ch._riccati_coefficients(ch.om[ch.m - 1])
     rhs = {
         2: ch.p2,
-        1: ch.p1 + B * a1 + ch.d_norm(a1),
-        0: ch.p0 + B * a0 + ch.d_norm(a0) + Cmat,
+        1: ch.p1 + _mm(B, a1) + ch.d_norm(a1),
+        0: ch.p0 + _mm(B, a0) + ch.d_norm(a0) + Cmat,
     }
     return {k: (lhs[k] - rhs[k]).applyfunc(lambda e: canonical_zero_form(ch, e))
             for k in (2, 1, 0)}
@@ -725,13 +777,13 @@ def projected_square_correction_defect(ch: BoundaryChart) -> Matrix:
     correction ``(1/(|xi|^2+lam)) sum (omega_a omega_b)~ xi_a xi_b``."""
     _, a0f, _ = ch.alphas_full()
     a0t = ch.project(a0f)
-    lhs = ch.eval_at_boundary_point(ch.project(a0f * a0f))
+    lhs = ch.eval_at_boundary_point(ch.project(_mm(a0f, a0f)))
     corr = zeros(ch.n_proj, ch.n_proj)
     for a in range(ch.d):
         for b in range(ch.d):
-            corr += (ch.eval_at_boundary_point(ch.project(ch.om[a] * ch.om[b]))
+            corr += (ch.eval_at_boundary_point(ch.project(_mm(ch.om[a], ch.om[b])))
                      * ch.xis[a] * ch.xis[b])
     rhs_a0 = ch.eval_at_boundary_point(a0t)
-    rhs = rhs_a0 * rhs_a0 - corr / (ch.w ** 2)
+    rhs = _mm(rhs_a0, rhs_a0) - corr / (ch.w ** 2)
     diff_ = lhs - ch.eval_at_boundary_point(rhs)
     return diff_.applyfunc(lambda e: canonical_zero_form(ch, e))

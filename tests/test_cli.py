@@ -82,6 +82,25 @@ class TestMain:
         assert main(["verify-cylinder", "--a", "-1"]) == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--a", "--L"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exit_code(self, capsys, flag, value):
+        # NaN passed the positivity check and ran the branch series to its
+        # cap; infinity ended in a ZeroDivisionError traceback
+        assert main(["verify-cylinder", flag, value]) == 2
+        assert "invalid-config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--a", "--L"])
+    def test_out_of_range_parameter_exit_code(self, capsys, flag):
+        # finite but beyond float64 arithmetic (OverflowError for a,
+        # ZeroDivisionError for L): one error line, no traceback
+        assert main(["verify-cylinder", flag, "1e300"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: schema-or-range: parameters outside the float64 range of the "
+            f"pipeline ({'OverflowError' if flag == '--a' else 'ZeroDivisionError'})"]
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["geom-constants", "--file", "/no/such/file.json"]) == 3
         assert "file-not-found" in capsys.readouterr().err

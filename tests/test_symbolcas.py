@@ -4,11 +4,19 @@ import math
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Symbol, zeros
+from sympy.core.function import AppliedUndef
+from sympy.matrices.exceptions import ShapeError
 
 from dtnzeta.symbolcas import (
     BoundaryChart,
     JetResolutionError,
+    _derive,
+    _jet_key,
+    _jet_symbol,
+    _mm,
     canonical_zero_form,
     chart,
     connection_matrices,
@@ -97,9 +105,128 @@ class TestChartStructure:
 
     def test_jet_resolution_error(self):
         ch = chart(2, 0)
-        too_deep = sp.diff(ch.gu[0, 0], ch.ym, 3)
+        too_deep = ch.d_norm(ch.d_norm(ch.d_norm(ch.gu[0, 0])))
         with pytest.raises(JetResolutionError):
             ch.eval_at_boundary_point(Matrix([[too_deep]]))
+
+    def test_jet_resolution_error_tangential(self):
+        # the curvature endomorphism is known at the point only, not its jets
+        ch = chart(3, 1)
+        with pytest.raises(JetResolutionError):
+            ch.eval_at_boundary_point(ch.d_y(ch.E[0, 0], 0))
+
+
+class TestTotalDerivative:
+    """The jet derivation against sympy's own ``diff`` of generic functions."""
+
+    ch = chart(3, 1)
+    ys = sp.symbols("y1 y2 ym", real=True)
+    FNAMES = ("gu11", "gu12", "lng", "om1_0_2", "om3_1_1", "EE_0_1", "Gam1_12")
+
+    @classmethod
+    def _as_functions(cls, expr):
+        """Each jet ``f@alpha`` as ``Derivative(F(y1, y2, ym), alpha)``."""
+        mapping = {}
+        for s in expr.free_symbols:
+            key = _jet_key(s)
+            if key is not None:
+                fname, counts = key
+                f = sp.Function(fname)(*cls.ys)
+                pairs = [(y, c) for y, c in zip(cls.ys, counts) if c]
+                mapping[s] = sp.diff(f, *pairs) if pairs else f
+        return expr.xreplace(mapping)
+
+    @classmethod
+    def _gap(cls, derive, expr, var):
+        """Difference of ``derive(expr, var)`` and the sympy oracle, cancelled.
+
+        ``cancel``, not ``expand``: the two sides may put the same powers of
+        ``mu - w`` over differently expanded denominators.
+        """
+        y = cls.ys[var] if isinstance(var, int) else var
+        oracle = sp.diff(cls._as_functions(expr), y)
+        return sp.cancel(cls._as_functions(derive(expr, var)) - oracle)
+
+    @classmethod
+    def _exprs(cls):
+        jets = st.builds(_jet_symbol, st.sampled_from(cls.FNAMES),
+                         st.tuples(*[st.integers(0, 2)] * 3))
+        leaves = st.one_of(jets, st.sampled_from([*cls.ch.xis, cls.ch.lam, cls.ch.mu]),
+                           st.integers(-3, 3).map(sp.Integer))
+        return st.recursive(leaves, lambda sub: st.one_of(
+            st.builds(lambda a, b: a + b, sub, sub),
+            st.builds(lambda a, b: a * b, sub, sub),
+            st.builds(lambda a: sp.sqrt(a + cls.ch.lam), sub),
+            st.builds(lambda a, n: (a + cls.ch.mu) ** n, sub, st.sampled_from([-1, -2])),
+        ), max_leaves=6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_sympy_diff(self, data):
+        expr = data.draw(self._exprs())
+        var = data.draw(st.sampled_from([0, 1, 2, *self.ch.xis]))
+        assert self._gap(_derive, expr, var) == 0
+
+    def test_negative_control_without_chain_factor(self):
+        # a derivation that drops d(base) in the power rule must be caught
+        def chainless(expr, var):
+            if expr.is_Pow:
+                return expr.exp * expr.base ** (expr.exp - 1)
+            if expr.is_Add:
+                return sp.Add(*[chainless(a, var) for a in expr.args])
+            if expr.is_Mul:
+                return sp.Add(*[sp.Mul(*expr.args[:i], chainless(a, var), *expr.args[i + 1:])
+                                for i, a in enumerate(expr.args)])
+            return _derive(expr, var)
+
+        expr = self.ch.w / (self.ch.mu - self.ch.w)
+        for var in (0, 2, self.ch.xis[0]):
+            assert self._gap(_derive, expr, var) == 0
+            assert self._gap(chainless, expr, var) != 0
+
+    @pytest.mark.parametrize("fname", FNAMES)
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (0, 0, 3), (3, 0, 0)])
+    def test_order_three_jets_raise(self, fname, counts):
+        with pytest.raises(JetResolutionError):
+            self.ch.eval_at_boundary_point(_jet_symbol(fname, counts))
+
+    def test_naming_round_trip(self):
+        assert _jet_symbol("gu11", (0, 1, 0)).name == "gu11@010"
+        assert _jet_key(_jet_symbol("om3_1_2", (2, 0, 1))) == ("om3_1_2", (2, 0, 1))
+        assert _jet_key(self.ch.xis[0]) is None
+
+    def test_rejects_other_nodes(self):
+        with pytest.raises(TypeError):
+            _derive(sp.exp(_jet_symbol("lng", (0, 0, 0))), 2)
+
+
+class TestMatrixProduct:
+    def test_matches_sympy_product_on_connections(self):
+        om = chart(3, 1).om
+        for A in om:
+            for B in om:
+                assert _mm(A, B) == A * B
+
+    def test_matches_sympy_product_on_symbols(self):
+        comps = chart(3, 1).alphas_full()
+        for A in comps:
+            for B in comps:
+                assert _mm(A, B) == A * B
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            _mm(zeros(2, 3), zeros(2, 3))
+
+    def test_symbols_hold_no_sympy_functions(self):
+        # the chart is built from jet symbols alone: no undetermined function
+        # or Derivative object may enter the symbols, resolvent or products
+        ch = chart(2, 1)
+        a1, a0, am1 = ch.alphas_full()
+        comp = {1: a1, 0: a0, -1: am1}
+        mats = [a1, a0, am1, *ch.resolvent().values(),
+                star_compose(comp, comp, ch, orders=(0,))[0]]
+        for M in mats:
+            assert not M.atoms(AppliedUndef, sp.Derivative)
 
 
 class TestChartPurity:
