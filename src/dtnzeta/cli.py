@@ -91,22 +91,16 @@ def _check(quantity, citation, residual, tol, **extra):
                 error_bound=tol, **extra)
 
 
-def _exact_zero(expr) -> bool:
-    diff = sp.expand(expr)
-    if diff == 0:
-        return True
-    return sp.simplify(diff) == 0
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
 def _run_derive_a0(cfg: RunConfig) -> list[dict]:
+    from .sfunc import exact_zero
     from .symbolint import a0_density, a0_reference
     computed = a0_density(cfg.m, cfg.q)
     expected = a0_reference(cfg.m, cfg.q)
-    ok = _exact_zero(computed - expected)
+    ok = exact_zero(computed - expected)
     return [
         _row("a0-density", f"a0-density.dim{cfg.m}.q{cfg.q}",
              expression=str(computed), status="PASS" if ok else "FAIL"),
@@ -116,6 +110,7 @@ def _run_derive_a0(cfg: RunConfig) -> list[dict]:
 
 
 def _run_derive_terms(cfg: RunConfig) -> list[dict]:
+    from .sfunc import exact_zero
     from .symbolint import (TERM_LABELS, reference_table_sum, reference_term_table,
                             term_table)
     if cfg.m != 3:
@@ -124,12 +119,12 @@ def _run_derive_terms(cfg: RunConfig) -> list[dict]:
     expected = reference_term_table(cfg.q)
     rows = []
     for label in TERM_LABELS:
-        ok = _exact_zero(computed[label] - expected[label])
+        ok = exact_zero(computed[label] - expected[label])
         rows.append(_row(f"trace-term-{label}", f"trace-term.dim3.q{cfg.q}.{label}",
                          expression=str(computed[label]),
                          status="PASS" if ok else "FAIL"))
     total = sum(computed[label] for label in TERM_LABELS)
-    ok = _exact_zero(total - reference_table_sum(cfg.q))
+    ok = exact_zero(total - reference_table_sum(cfg.q))
     rows.append(_row("trace-term-sum", f"trace-term.dim3.q{cfg.q}.sum",
                      expression=str(sp.cancel(sp.together(total))),
                      status="PASS" if ok else "FAIL"))
@@ -231,7 +226,8 @@ def _run_conformal_check(cfg: RunConfig) -> list[dict]:
 
 
 def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
-    from .sfunc import S, gamma_ratio_at_zero, riemann_zeta, xi_moment, zeta_deriv_at
+    from .sfunc import (S, exact_zero, gamma_ratio_at_zero, riemann_zeta, xi_moment,
+                        zeta_deriv_at)
     rows = []
     with mp.workdps(cfg.dps + 10):
         for s0, ref in ((2, mp.pi ** 2 / 6), (0, mp.mpf(-1) / 2), (-1, mp.mpf(-1) / 12)):
@@ -244,7 +240,7 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
     for k, (v_ref, d_ref) in ((1, (-1, -1)), (sp.Rational(1, 2), (0, -2 * sp.sqrt(sp.pi))),
                               (2, (sp.Rational(1, 2), sp.Rational(3, 4)))):
         v, d = gamma_ratio_at_zero(k)
-        ok = sp.simplify(v - v_ref) == 0 and sp.simplify(d - d_ref) == 0
+        ok = exact_zero(v - v_ref) and exact_zero(d - d_ref)
         rows.append(_row(f"gamma-ratio-at-zero-{k}", "specfun.gamma-ratio",
                          expression=f"({v}, {d})", status="PASS" if ok else "FAIL"))
     table = [
@@ -256,7 +252,7 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
     ]
     for exps, p, ref in table:
         got = xi_moment(2, exps, p)
-        ok = sp.simplify(sp.gammasimp(got - ref)) == 0
+        ok = exact_zero(got - ref)
         rows.append(_row(f"momentum-integral-xi{exps[0]}{exps[1]}-p({p})",
                          "specfun.momentum-table", expression=str(sp.cancel(got)),
                          status="PASS" if ok else "FAIL"))

@@ -12,6 +12,9 @@ expansion is turned into a spectral density:
   computed once per point (``subs``/``diff`` of the Gamma-simplified factor,
   ``series`` only at a pole).  A pole part that does not cancel, or a branch
   point, raises ``DomainError``.
+* ``exact_zero`` -- the one exact zero test of the package: a rational
+  function of ``s`` and of Gamma factors ``Gamma(a*s + b)`` is normalized to
+  one representative per Gamma class and decided by an expanded numerator.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
@@ -36,6 +39,7 @@ __all__ = [
     "SFunction",
     "DomainError",
     "DivergentMomentError",
+    "exact_zero",
     "gamma_ratio_at_zero",
     "mu_residue",
     "xi_moment",
@@ -78,6 +82,47 @@ class SFunction:
         with mp.workdps(dps):
             f = sp.lambdify(S, self.expr, modules="mpmath")
             return f(mp.mpf(s0))
+
+
+# ---------------------------------------------------------------------------
+# Exact zero test
+# ---------------------------------------------------------------------------
+
+def exact_zero(expr) -> bool:
+    """Whether ``expr`` vanishes identically in ``s`` and in its free symbols.
+
+    ``expr`` must be a rational function of ``s`` and of Gamma factors
+    ``Gamma(a*s + b)`` with ``a > 0`` and ``b`` rational; its ``s``-free part
+    may hold any constants (``pi``, ``log(2)``, ``EulerGamma``, ...) and
+    symbols.  Each factor is written as its class representative
+    ``Gamma(a*s + b mod 1)`` times a rising factorial in ``s``, the
+    representatives become independent symbols, and ``expr`` is zero when the
+    expanded numerator of its ``together`` form is.  A True verdict is exact,
+    since it holds for any value of the symbols; a relation among the
+    constants or the representatives that this form does not apply could
+    only turn a zero into a False, never the reverse.
+
+    Raises ``ValueError`` on any other ``s``-dependent atom, such as
+    ``2**(-s)``, ``gamma(s**2)`` or ``polygamma(0, s)``.
+    """
+    expr = sp.sympify(expr)
+    classes: dict[sp.Expr, sp.Dummy] = {}
+    normal = {}
+    for g in expr.atoms(sp.gamma):
+        arg = g.args[0]
+        if not arg.has(S):
+            continue
+        a = sp.diff(arg, S)
+        b = sp.expand(arg - a * S)
+        if not (a.is_Rational and a > 0 and b.is_Rational):
+            raise ValueError(f"no exact zero test for {g}: argument not a*s + b, a > 0 rational")
+        n = b.p // b.q
+        x = a * S + b - n
+        normal[g] = classes.setdefault(x, sp.Dummy(f"Gamma({x})")) * sp.rf(x, n)
+    expr = expr.xreplace(normal)
+    if not expr.is_rational_function(S):
+        raise ValueError("no exact zero test: not a rational function of s and Gamma(a*s + b)")
+    return sp.expand(sp.numer(sp.together(expr))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +175,7 @@ def _jet(expr: sp.Expr, s0: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
     for factor, coeff in groups.items():
         for k, c in _factor_laurent(factor, s0):
             jet[k] = jet.get(k, sp.Integer(0)) + coeff * c
-    if any(k < 0 and sp.simplify(c) != 0 for k, c in jet.items()):
+    if any(k < 0 and not exact_zero(c) for k, c in jet.items()):
         raise DomainError(f"pole of SFunction at s = {s0}")
     return jet.get(0, sp.Integer(0)), jet.get(1, sp.Integer(0))
 

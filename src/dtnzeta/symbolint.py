@@ -28,7 +28,7 @@ from functools import lru_cache
 import sympy as sp
 from sympy import Rational, Symbol, pi
 
-from .sfunc import S, SFunction, mu_residue, xi_moment
+from .sfunc import S, SFunction, exact_zero, mu_residue, xi_moment
 from .symbolcas import BoundaryChart, chart
 
 __all__ = [
@@ -113,8 +113,7 @@ def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
         else:
             coeffs[mono] = coeffs.get(mono, sp.Integer(0)) + coeff
     for mono, coeff in coeffs.items():
-        coeff = sp.simplify(sp.gammasimp(sp.expand(coeff)))
-        if coeff != 0:
+        if not exact_zero(coeff):
             raise CancellationError(f"jet monomial {mono} survived with coefficient {coeff}")
     return sp.Add(*kept)
 
@@ -183,11 +182,11 @@ def a1_coefficient(q: int) -> sp.Expr:
 
     Combines the leading boundary density with the interior heat-coefficient
     difference weighted by the Gamma-ratio derivative at zero; vanishes
-    identically.
+    identically (decide it with :func:`dtnzeta.sfunc.exact_zero`).
     """
     from .sfunc import gamma_ratio_at_zero
     _, dval = gamma_ratio_at_zero(1)
-    return sp.simplify(-pi0_density(q) - interior_coefficient_difference(q) * dval)
+    return -pi0_density(q) - interior_coefficient_difference(q) * dval
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def reference_term_table(q: int) -> dict[str, sp.Expr]:
                - Dm / (4 * pi)),
         "V8": -H1 * TrOm / (2 * pi) + Dm / (4 * pi) + TrOm2 / (4 * pi),
     }
-    return {k: sp.cancel(sp.together(v)) for k, v in tab.items()}
+    return tab
 
 
 def reference_table_sum(q: int) -> sp.Expr:
@@ -269,7 +268,7 @@ def reference_table_sum(q: int) -> sp.Expr:
     ch, r0, H1, H2, TrOm, TrOm2, TrOmAlAl, TrE, Dt, Dm = _generators(q)
     tM, tY = ch.tauM, ch.tauY
     s = S
-    return sp.cancel(sp.together(
+    return (
         r0 * (tM / (16 * pi) * (s + 1) / (s + 2)
               - tY / (48 * pi) * (s - 1) / (s + 2)
               + H1 ** 2 / (4 * pi) * (s ** 3 + 6 * s ** 2 + 7 * s + 2) / ((s + 2) * (s + 4))
@@ -278,7 +277,7 @@ def reference_table_sum(q: int) -> sp.Expr:
         + TrOmAlAl / (4 * pi) * (s + 1) / (s + 2)
         - H1 * TrOm / (2 * pi) * (s ** 2 + 2 * s + 1) / (s + 2)
         + TrOm2 / (4 * pi) * (s + 1)
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------

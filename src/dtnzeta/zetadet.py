@@ -48,6 +48,9 @@ __all__ = [
 _UNIT = 2.0 ** -53  # float64 unit roundoff
 _KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1 and s <= 4, in ulp
 _REMAINDER_DIGITS = 20  # Bessel-K remainder terms kept until e^{-2 pi r m} < 1e-20
+# accepted cylinder lengths a, L: the lattice sums raise pi/a and 2 pi/L to
+# powers up to 2s = 8 and square their ratio, which stays inside float64 here
+_CYLINDER_RANGE = (1e-30, 1e30)
 
 
 @dataclass(frozen=True)
@@ -333,6 +336,13 @@ def logdet_star(stream, dps: int = 30) -> ZetaValue:
 # Verification drivers on the cylinder
 # ---------------------------------------------------------------------------
 
+def _check_cylinder(a: float, L: float) -> None:
+    lo, hi = _CYLINDER_RANGE
+    if not (lo <= a <= hi and lo <= L <= hi):
+        raise ValueError(f"cylinder parameters a = {a:g}, L = {L:g} outside "
+                         f"[{lo:g}, {hi:g}], the float64 range of the lattice sums")
+
+
 def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
     """All cylinder checks for ``[0, a] x S^1_L`` on degree-``q`` forms.
 
@@ -346,7 +356,10 @@ def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
       ``kernel_dim + 2 * cross-section zeta at 0``);
     * ``gluing_residual``: the determinant-gluing identity residual with the
       Gram determinant evaluated in closed form.
+
+    Raises ``ValueError`` unless ``a`` and ``L`` lie in ``_CYLINDER_RANGE``.
     """
+    _check_cylinder(a, L)
     from .spectra import (circle_form_spectrum, product_dtn_spectrum,
                           product_laplacian_spectra)
     out = {}
@@ -386,8 +399,10 @@ def zeta_zero_identity_sides(a: float, L: float, q: int, dps: int = 30) -> tuple
     LHS: DtN zeta at 0 plus the kernel dimension (branch-split path).
     RHS: twice the difference of the continued absolute/Dirichlet Laplacian
     zetas at 0, with the kernel dimension added to the absolute term
-    (family-continuation path).
+    (family-continuation path).  Raises ``ValueError`` unless ``a`` and ``L``
+    lie in ``_CYLINDER_RANGE``.
     """
+    _check_cylinder(a, L)
     from .spectra import product_dtn_spectrum, product_laplacian_spectra
     dtn = product_dtn_spectrum(a, L, q)
     sabs, sdir = product_laplacian_spectra(a, L, q)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dtnzeta.sfunc import S
+from dtnzeta.sfunc import S, exact_zero
 from dtnzeta.symbolcas import chart, parametrix_defect
 from dtnzeta.symbolint import (
     TERM_LABELS,
@@ -32,11 +32,6 @@ def _verdict(number: int, name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'}")
 
 
-def _exact_zero(expr) -> bool:
-    diff = sp.expand(expr)
-    return diff == 0 or sp.simplify(diff) == 0
-
-
 def test_criterion_1_dim2_symbolic_derivation():
     """Full dimension-2 pipeline gives the exact boundary density, under 10 s."""
     chart.cache_clear()
@@ -48,8 +43,8 @@ def test_criterion_1_dim2_symbolic_derivation():
         kappa = ch.kappas[0]
         tr = ch.project(ch.conn_values[1]).trace()
         target = kappa / (2 * sp.pi) - sp.log(2) / sp.pi * tr
-        ok = ok and _exact_zero(a0_density(2, q) - target)
-        ok = ok and _exact_zero(a0_density(2, q) - a0_reference(2, q))
+        ok = ok and exact_zero(a0_density(2, q) - target)
+        ok = ok and exact_zero(a0_density(2, q) - a0_reference(2, q))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
     _verdict(1, "dim-2 symbolic derivation", ok)
@@ -66,10 +61,10 @@ def test_criterion_2_dim3_term_table():
         computed = term_table(q)
         expected = reference_term_table(q)
         for label in TERM_LABELS:
-            ok = ok and _exact_zero(computed[label] - expected[label])
+            ok = ok and exact_zero(computed[label] - expected[label])
         total = sum(computed[label] for label in TERM_LABELS)
-        ok = ok and _exact_zero(total - reference_table_sum(q))
-        ok = ok and _exact_zero(a0_density(3, q) - a0_reference(3, q))
+        ok = ok and exact_zero(total - reference_table_sum(q))
+        ok = ok and exact_zero(a0_density(3, q) - a0_reference(3, q))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0
     _verdict(2, "dim-3 term table", ok)
@@ -82,11 +77,11 @@ def test_criterion_3_consistency_coefficients():
     from math import comb
     ok = True
     for q in (0, 1, 2):
-        ok = ok and a1_coefficient(q) == 0
-        ok = ok and _exact_zero(pi0_density(q) - sp.Integer(comb(2, q)) / (8 * sp.pi))
-        ok = ok and _exact_zero(q_density(3, q) - q_density_reference(3, q))
+        ok = ok and exact_zero(a1_coefficient(q))
+        ok = ok and exact_zero(pi0_density(q) - sp.Integer(comb(2, q)) / (8 * sp.pi))
+        ok = ok and exact_zero(q_density(3, q) - q_density_reference(3, q))
     ok = ok and q_density(2, 0) == 0
-    ok = ok and _exact_zero(q_density(2, 1) - q_density_reference(2, 1))
+    ok = ok and exact_zero(q_density(2, 1) - q_density_reference(2, 1))
     _verdict(3, "consistency coefficients", ok)
     assert ok
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import warnings
 
 import pytest
+import sympy as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dtnzeta import sfunc, symbolint
 from dtnzeta.cli import RunConfig, main, render_report, run
 
 
@@ -92,14 +95,17 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--a", "--L"])
     def test_out_of_range_parameter_exit_code(self, capsys, flag):
-        # finite but beyond float64 arithmetic (OverflowError for a,
-        # ZeroDivisionError for L): one error line, no traceback
-        assert main(["verify-cylinder", flag, "1e300"]) == 4
+        # finite but beyond the float64 range of the lattice sums: rejected
+        # before any arithmetic, so no overflow warning; one error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-cylinder", flag, "1e300"]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        a, L = ("1e+300", "6.28319") if flag == "--a" else ("1", "1e+300")
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: schema-or-range: parameters outside the float64 range of the "
-            f"pipeline ({'OverflowError' if flag == '--a' else 'ZeroDivisionError'})"]
+            f"error: schema-or-range: cylinder parameters a = {a}, L = {L} outside "
+            "[1e-30, 1e+30], the float64 range of the lattice sums"]
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["geom-constants", "--file", "/no/such/file.json"]) == 3
@@ -121,3 +127,49 @@ class TestMain:
         printed = capsys.readouterr().out.strip()
         assert on_disk == printed
         assert json.loads(on_disk)["status"] == "PASS"
+
+
+# a reference off by a relative 1e-6, exact over QQ
+OFF = 1 + sp.Rational(1, 10 ** 6)
+
+
+def _failing(cfg: RunConfig) -> list[str]:
+    status, report = run(cfg)
+    failing = [r["quantity"] for r in json.loads(report)["rows"] if r["status"] == "FAIL"]
+    assert status == (1 if failing else 0)
+    return failing
+
+
+class TestNegativeControls:
+    """Every exact comparison of the CLI FAILs on a perturbed reference."""
+
+    @pytest.mark.parametrize("m,q", [(2, 1), (3, 0)])
+    def test_derive_a0(self, monkeypatch, m, q):
+        ref = symbolint.a0_reference
+        monkeypatch.setattr(symbolint, "a0_reference", lambda m, q: OFF * ref(m, q))
+        assert _failing(RunConfig(command="derive-a0", m=m, q=q)) == ["a0-density"]
+
+    def test_derive_terms_piece(self, monkeypatch):
+        ref = symbolint.reference_term_table
+        monkeypatch.setattr(symbolint, "reference_term_table",
+                            lambda q: {**ref(q), "V7": OFF * ref(q)["V7"]})
+        assert _failing(RunConfig(command="derive-terms", m=3, q=0)) == ["trace-term-V7"]
+
+    def test_derive_terms_sum(self, monkeypatch):
+        ref = symbolint.reference_table_sum
+        monkeypatch.setattr(symbolint, "reference_table_sum", lambda q: OFF * ref(q))
+        assert _failing(RunConfig(command="derive-terms", m=3, q=0)) == ["trace-term-sum"]
+
+    def test_specfun_momentum_entry(self, monkeypatch):
+        moment = sfunc.xi_moment
+        monkeypatch.setattr(sfunc, "xi_moment", lambda dim, exps, p: (
+            OFF if exps == (2, 2) else 1) * moment(dim, exps, p))
+        assert _failing(RunConfig(command="specfun-selftest")) == [
+            "momentum-integral-xi22-p(s/2 + 3)"]
+
+    def test_specfun_gamma_ratio(self, monkeypatch):
+        ratio = sfunc.gamma_ratio_at_zero
+        monkeypatch.setattr(sfunc, "gamma_ratio_at_zero", lambda k: (
+            ratio(k)[0], OFF * ratio(k)[1]))
+        assert _failing(RunConfig(command="specfun-selftest")) == [
+            f"gamma-ratio-at-zero-{k}" for k in (1, "1/2", 2)]

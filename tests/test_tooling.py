@@ -1,9 +1,14 @@
-"""Every name the traced benchmark run wraps must exist on the package.
+"""Source-level checks of the package and its tests.
 
+Every name the traced benchmark run wraps must exist on the package:
 ``perfbench/tracing.py`` wraps functions and methods at the names listed in
-its ``TARGETS`` table; a rename or deletion in the package would break the
+its ``TARGETS`` table, and a rename or deletion in the package would break the
 traced run.  The table is read from the file's source, so nothing under
 ``perfbench/`` is imported or written.
+
+Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
+``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
+branch in the package, and no test keeps its own ``_exact_zero``.
 """
 
 import ast
@@ -11,7 +16,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracing.py"
 MODULES = ("sfunc", "symbolcas", "symbolint", "spectra", "zetadet", "geom", "cli")
 
 
@@ -45,3 +51,60 @@ def test_all_names_exist():
         mod = importlib.import_module(name)
         absent = [n for n in mod.__all__ if not hasattr(mod, n)]
         assert not absent, f"{name}.__all__ lists missing names {absent}"
+
+
+SIMPLIFIERS = {"simplify", "gammasimp", "cancel"}
+
+
+def _simplifier_call(node) -> bool:
+    return any(isinstance(n, ast.Call)
+               and getattr(n.func, "attr", getattr(n.func, "id", None)) in SIMPLIFIERS
+               for n in ast.walk(node))
+
+
+def _decisions(tree):
+    """Every expression whose value a comparison, branch or ``not`` decides on."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq))
+                                                 for op in node.ops):
+            yield node
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+
+
+def _tested_names(decision) -> set[str]:
+    """Names a decision tests as they are: the whole test or a compared side."""
+    parts = ([decision.left, *decision.comparators] if isinstance(decision, ast.Compare)
+             else [decision])
+    return {p.id for p in parts if isinstance(p, ast.Name)}
+
+
+def _simplified_decisions(fn) -> list[int]:
+    """Lines of ``fn`` where a simplifier result decides a comparison or
+    branch, directly or through a local name assigned from it."""
+    simplified = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                  and _simplifier_call(n.value) for t in n.targets if isinstance(t, ast.Name)}
+    return [d.lineno for d in _decisions(fn)
+            if _simplifier_call(d) or _tested_names(d) & simplified]
+
+
+def test_no_simplifier_decides_zero():
+    found = []
+    for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{line}" for line in _simplified_decisions(fn)]
+    assert not found, f"zero decided by simplify/gammasimp/cancel at {sorted(set(found))}"
+
+
+def test_no_private_exact_zero():
+    copies = [f"{path.relative_to(ROOT)}:{node.lineno}"
+              for path in sorted([*(ROOT / "tests").glob("*.py"),
+                                  *(ROOT / "src" / "dtnzeta").glob("*.py")])
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_exact_zero"]
+    assert not copies, f"use dtnzeta.sfunc.exact_zero instead of {copies}"
