@@ -143,7 +143,7 @@ def _run_verify_cylinder(cfg: RunConfig) -> list[dict]:
         _check("dtn-zeta-at-zero", "cylinder.dtn-zeta-at-zero",
                out["zeta_q_at_zero"] - out["zeta_q_at_zero_expected"], 1e-8),
         _check("determinant-gluing", "cylinder.determinant-gluing",
-               out["gluing_residual"], 1e-10),
+               out["logdet_identity"], 1e-10),
     ]
     return rows
 

@@ -77,12 +77,6 @@ class SFunction:
         """Exact derivative value at ``s = s0`` (limit if removable)."""
         return sp.simplify(_jet(self.expr, sp.sympify(s0))[1])
 
-    def numeric(self, s0, dps: int = 30) -> mp.mpf:
-        """Numeric value at real ``s0`` with ``dps`` working digits."""
-        with mp.workdps(dps):
-            f = sp.lambdify(S, self.expr, modules="mpmath")
-            return f(mp.mpf(s0))
-
 
 # ---------------------------------------------------------------------------
 # Exact zero test

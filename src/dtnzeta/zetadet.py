@@ -12,9 +12,13 @@ evaluation path:
   cotangent kernel ``interval_mode_sum``, which leaves two Riemann zeta terms
   and an exponentially convergent Bessel-K remainder of a few terms; at
   ``s = 0`` the analytic continuation of each family is used;
-* cylinder DtN spectra split into the zero-mode branch, twice the
-  cross-section zeta at half argument, and a numerically summed correction
-  over branch pairs.
+* cylinder DtN spectra pair each cross-section eigenvalue ``lam`` into the
+  branches ``sqrt(lam) coth(x/2)`` and ``sqrt(lam) tanh(x/2)``,
+  ``x = a sqrt(lam)``, whose product is ``lam``.  So the log-determinant is
+  ``kernel_dim ln(2/a)`` plus that of the cross-section, and the zeta at 0 is
+  ``kernel_dim + 2 zeta_base(0)``, both in closed form.  At ``s > 0`` the zeta
+  is the zero-mode branch, twice the cross-section zeta at half argument, and
+  a numerically summed correction over branch pairs.
 
 ``logdet_star`` is the zeta-regularized log-determinant ``-zeta'(0)`` with the
 kernel excluded.  Every ``ZetaValue.error_bound`` is computed: a truncation
@@ -220,71 +224,70 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
         return ZetaValue(float(total), _float_rounding(total, magnitude), "family-continuation")
 
 
-_DTN_MAX_TERMS = 10_000
+def _zeta_dtn_at_zero(spec: DtnProductSpectrum, dps: int = 30) -> ZetaValue:
+    """DtN zeta at 0 in closed form: ``kernel_dim + 2 zeta_base(0)``.
 
-
-@lru_cache(maxsize=1)
-def _dtn_correction_terms(spec: DtnProductSpectrum, dps: int, tol: float = 1e-25):
-    """Branch-pair corrections ``(lam, mult, c_plus, c_minus)`` until negligible.
-
-    Raises ``ValueError`` if the corrections are still above ``tol`` after
-    ``_DTN_MAX_TERMS`` cross-section modes (a very short cylinder).  The last
-    spectrum's series is kept, so ``logdet_star`` and ``zeta`` of one DtN
-    spectrum share it.
+    The branch-pair corrections to twice the cross-section zeta at ``s/2``
+    (see ``_zeta_dtn``) vanish term by term at ``s = 0``, and the zero-mode
+    branch ``(2/a)^{-s}`` is 1 there.
     """
-    out = []
     with mp.workdps(dps):
-        for n in range(1, _DTN_MAX_TERMS + 1):
-            lam = mp.mpf(spec.base_q.coeff) * n ** spec.base_q.power
-            x = spec.a * mp.sqrt(lam)
-            cp = 2 / mp.expm1(x)
-            cm = 2 / (mp.e ** x + 1)
-            out.append((lam, spec.base_q.mult, cp, cm))
-            if cp < tol and cm < tol:
-                return tuple(out)
-    raise ValueError(
-        f"DtN branch-pair series not below {tol:g} after {_DTN_MAX_TERMS} terms "
-        f"(a = {spec.a:g}; last correction {float(cp):.3g})")
+        base = _zeta_affine(spec.base_q, 0, dps)
+        total = spec.kernel_dim + 2 * mp.mpf(base.value)
+        magnitude = spec.kernel_dim + 2 * abs(base.value)
+        err = 2 * base.error_bound + _float_rounding(total, magnitude)
+        return ZetaValue(float(total), err, "dtn-closed-form")
 
 
-def _dtn_tail(spec: DtnProductSpectrum, n_kept: int) -> tuple[float, float]:
-    """``(lam, w)`` for the branch-pair series cut after ``n_kept`` modes.
-
-    ``lam`` is the first cross-section eigenvalue left out, and ``w`` bounds
-    ``sum_{n > n_kept} c_plus(lam_n)``: with a cross-section power >= 2,
-    ``x_n = a sqrt(lam_n)`` grows by at least ``x_1`` per mode, so
-    ``c_plus = 2/(e^x - 1)`` falls at least geometrically with ratio
-    ``e^{-x_1}``.  ``c_minus <= c_plus``.
-    """
-    base = spec.base_q
-    if base.power < 2:
-        raise ValueError("DtN branch-pair tail needs a cross-section power >= 2")
-    lam = base.coeff * (n_kept + 1) ** base.power
-    x = spec.a * math.sqrt(lam)
-    c_plus = 2 * math.exp(-x) / -math.expm1(-x)
-    return lam, c_plus / -math.expm1(-spec.a * math.sqrt(base.coeff))
+_DTN_MAX_TERMS = 10_000
+_DTN_TOL = 1e-25  # branch-pair corrections kept until both c are below this
 
 
 def _zeta_dtn(spec: DtnProductSpectrum, s, dps: int = 30) -> ZetaValue:
-    if s < 0:
-        raise ValueError("DtN zeta implemented at s >= 0")
+    """DtN zeta at ``s > 0``: the zero-mode branch ``(2/a)^{-s}``, twice the
+    cross-section zeta at ``s/2``, and the branch-pair corrections
+    ``lam^{-s/2} ((1 + c_plus)^{-s} + (1 - c_minus)^{-s} - 2)`` with
+    ``c_plus = 2/(e^x - 1)``, ``c_minus = 2/(e^x + 1)``, ``x = a sqrt(lam)``.
+
+    The corrections are summed mode by mode until both ``c`` fall below
+    ``_DTN_TOL``; raises ``ValueError`` if that takes more than ``_DTN_MAX_TERMS``
+    cross-section modes (a very short cylinder).
+    """
+    if s <= 0:
+        raise ValueError("DtN zeta series implemented at s > 0 (closed form at s = 0)")
+    base = spec.base_q
+    if base.power < 2:
+        raise ValueError("DtN branch-pair tail needs a cross-section power >= 2")
     with mp.workdps(dps):
         sv = mp.mpf(s)
         total = spec.kernel_dim * mp.power(2 / mp.mpf(spec.a), -sv)
-        base_half = _zeta_affine(spec.base_q, sv / 2, dps)
+        base_half = _zeta_affine(base, sv / 2, dps)
         magnitude = abs(total) + 2 * abs(base_half.value)
         total += 2 * mp.mpf(base_half.value)
-        terms = _dtn_correction_terms(spec, dps)
         corr = mp.mpf(0)
-        for lam, mult, cp, cm in terms:
-            weight = mult * mp.power(lam, -sv / 2)
+        for n in range(1, _DTN_MAX_TERMS + 1):
+            lam = mp.mpf(base.coeff) * n ** base.power
+            x = spec.a * mp.sqrt(lam)
+            cp = 2 / mp.expm1(x)
+            cm = 2 / (mp.e ** x + 1)
+            weight = base.mult * mp.power(lam, -sv / 2)
             corr += weight * (mp.power(1 + cp, -sv) + mp.power(1 - cm, -sv) - 2)
             magnitude += 2 * weight
+            if cp < _DTN_TOL and cm < _DTN_TOL:
+                break
+        else:
+            raise ValueError(
+                f"DtN branch-pair series not below {_DTN_TOL:g} after {_DTN_MAX_TERMS} terms "
+                f"(a = {spec.a:g}; last correction {float(cp):.3g})")
         total += corr
-        # past the last mode c_minus < c_plus < 1/2, so each left-out term is at
-        # most mult lam^{-s/2} s (c_plus + 2 c_minus); lam^{-s/2} decreases
-        lam, w = _dtn_tail(spec, len(terms))
-        tail = 3 * float(sv) * spec.base_q.mult * lam ** (-float(sv) / 2) * w
+        # past mode n, x grows by at least x_1 = a sqrt(coeff) per mode (power
+        # >= 2), so c_plus falls at least geometrically with ratio e^{-x_1};
+        # c_minus < c_plus < 1/2, so each left-out term is at most
+        # mult lam^{-s/2} s (c_plus + 2 c_minus), and lam^{-s/2} decreases
+        lam = base.coeff * (n + 1) ** base.power
+        x = spec.a * math.sqrt(lam)
+        w = 2 * math.exp(-x) / -math.expm1(-x) / -math.expm1(-spec.a * math.sqrt(base.coeff))
+        tail = 3 * float(sv) * base.mult * lam ** (-float(sv) / 2) * w
         err = tail + 2 * base_half.error_bound + _float_rounding(total, magnitude)
         return ZetaValue(float(total), err, "dtn-branch-split")
 
@@ -296,7 +299,7 @@ def zeta(stream, s, dps: int = 30) -> ZetaValue:
     if isinstance(stream, ProductSpectrum):
         return _zeta_product(stream, s, dps)
     if isinstance(stream, DtnProductSpectrum):
-        return _zeta_dtn(stream, s, dps)
+        return _zeta_dtn_at_zero(stream, dps) if s == 0 else _zeta_dtn(stream, s, dps)
     raise TypeError(f"unknown spectrum {type(stream)!r}")
 
 
@@ -315,20 +318,14 @@ def logdet_star(stream, dps: int = 30) -> ZetaValue:
             err = _float_rounding(val, stream.mult * (abs(log_part) + abs(zeta_part)))
             return ZetaValue(float(val), err, "affine-closed-form")
         if isinstance(stream, DtnProductSpectrum):
+            # each branch pair multiplies to lam, so the pairs give logdet*
+            # of the cross-section and the zero-mode branches ln(2/a) each
             base = logdet_star(stream.base_q, dps)
             part = stream.kernel_dim * mp.log(2 / mp.mpf(stream.a))
             magnitude = abs(part) + abs(base.value)
             part += base.value
-            terms = _dtn_correction_terms(stream, dps)
-            corr = mp.mpf(0)
-            for lam, mult, cp, cm in terms:
-                corr += mult * mp.log((1 + cp) * (1 - cm))
-                magnitude += 2 * mult
-            part += corr
-            # each left-out term is at most mult (c_plus + 2 c_minus)
-            tail = 3 * stream.base_q.mult * _dtn_tail(stream, len(terms))[1]
-            err = tail + base.error_bound + _float_rounding(part, magnitude)
-            return ZetaValue(float(part), err, "dtn-branch-split")
+            err = base.error_bound + _float_rounding(part, magnitude)
+            return ZetaValue(float(part), err, "dtn-closed-form")
     raise TypeError(f"log-determinant not implemented for {type(stream)!r}")
 
 
@@ -349,13 +346,19 @@ def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
     Returns a dict of labelled residuals:
 
     * ``logdet_identity``: log-det of the DtN operator minus its zero-mode and
-      cross-section parts (analytically zero);
+      cross-section parts.  It is also the determinant-gluing residual: with
+      ``a0 = 0``, ``ln det S = kernel_dim ln(2/a)`` and the absolute minus
+      Dirichlet log-det equal to that of the cross-section, the gluing
+      identity is this same difference;
     * ``zeta_diff_s{2,3}``: absolute/Dirichlet zeta difference at ``s`` minus
       the cross-section zeta;
     * ``zeta_q_at_zero``: DtN zeta at 0 (for comparison with its closed value
-      ``kernel_dim + 2 * cross-section zeta at 0``);
-    * ``gluing_residual``: the determinant-gluing identity residual with the
-      Gram determinant evaluated in closed form.
+      ``kernel_dim + 2 * cross-section zeta at 0``).
+
+    On a product cylinder the log-det identity (``dtn-logdet-identity`` and
+    ``determinant-gluing``) and the DtN zeta at 0 (``dtn-zeta-at-zero``) hold
+    by construction: ``logdet_star`` and ``zeta_at_zero`` of the DtN spectrum
+    are those closed forms, so the residuals are float rounding.
 
     Raises ``ValueError`` unless ``a`` and ``L`` lie in ``_CYLINDER_RANGE``.
     """
@@ -381,22 +384,16 @@ def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
             out[f"zeta_diff_s{s}"] = abs(za.value - zd.value - zn.value)
             out[f"zeta_diff_s{s}_bound"] = za.error_bound + zd.error_bound + zn.error_bound
 
-        zq0 = zeta_at_zero(dtn, dps)
-        out["zeta_q_at_zero"] = zq0.value
+        out["zeta_q_at_zero"] = zeta_at_zero(dtn, dps).value
         out["zeta_q_at_zero_expected"] = ell + 2 * zeta_at_zero(N, dps).value
-
-        # determinant-gluing identity: (logdet_abs* - logdet_D) - (a0 - ln det S + logdet_Q*)
-        # with a0 = 0 for a product and ln det S = ell * ln(2/a)
-        lhs = ld_n.value  # exact difference of the two sides of the cylinder
-        rhs = 0.0 - ell * float(mp.log(2 / mp.mpf(a))) + ld_q.value
-        out["gluing_residual"] = abs(lhs - rhs)
     return out
 
 
 def zeta_zero_identity_sides(a: float, L: float, q: int, dps: int = 30) -> tuple[float, float]:
     """Both sides of the zeta-at-zero gluing identity, computed independently.
 
-    LHS: DtN zeta at 0 plus the kernel dimension (branch-split path).
+    LHS: DtN zeta at 0 plus the kernel dimension (closed form
+    ``2 kernel_dim + 2 zeta_base(0)``).
     RHS: twice the difference of the continued absolute/Dirichlet Laplacian
     zetas at 0, with the kernel dimension added to the absolute term
     (family-continuation path).  Raises ``ValueError`` unless ``a`` and ``L``

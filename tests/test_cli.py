@@ -114,11 +114,15 @@ class TestMain:
     def test_unknown_geometry_exit_code(self, capsys):
         assert main(["geom-constants", "--geometry", "nonexistent"]) == 4
 
-    def test_series_cap_exit_code(self, capsys):
-        # at a = 0.001 the DtN branch-pair corrections decay too slowly for
-        # the term cap; the run must stop with an error, not report PASS
-        assert main(["verify-cylinder", "--a", "0.001"]) == 4
-        assert "branch-pair series" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
+    @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])
+    def test_long_and_short_cylinders(self, capsys, command, args):
+        # L/a >= 1200: the DtN log-det and zeta at 0 are closed forms, so no
+        # branch-pair series (and no term cap) stands between them and PASS
+        assert main([command, *args]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        checks = [r for r in rows if r["status"] != "INFO"]
+        assert checks and all(r["status"] == "PASS" for r in checks)
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
