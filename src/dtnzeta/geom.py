@@ -81,6 +81,19 @@ class GeometrySpec:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.m, int):
+            raise ValueError(f"geometry field 'm' must be an integer, got {self.m!r}")
+        nodes = self.nodes
+        for name, values in (("V", [self.V]), ("ellY", [self.ellY]),
+                             ("w", [n.w for n in nodes]),
+                             ("kappa", [k for n in nodes for k in n.kappa]),
+                             ("tau_M", [n.tau_M for n in nodes]),
+                             ("tau_Y", [n.tau_Y for n in nodes])):
+            for value in values:
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not math.isfinite(value)):
+                    raise ValueError(
+                        f"geometry field {name!r} must be a finite number, got {value!r}")
         if self.m not in (2, 3):
             raise ValueError("only interior dimensions 2 and 3 are supported")
         if self.V <= 0 or self.ellY <= 0:

@@ -678,33 +678,28 @@ def star_compose(comp_a: dict[int, Matrix], comp_b: dict[int, Matrix],
     return out
 
 
-def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
-    """Canonical Laurent form of a symbol-calculus scalar.
+def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, xi_sq: sp.Expr):
+    """Laurent expansion of a symbol-calculus scalar in ``mu - w`` and ``w``.
 
     Replaces the principal symbol ``w`` by a generator ``v`` through the
-    relation ``v**2 = |xi|_g^2 + lam``, imposed by eliminating
-    ``lam = v**2 - |xi|_g^2`` (so ``w = sqrt(v**2) = v``), and shifts the
-    spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
+    relation ``v**2 = |xi|_g^2 + lam`` (``xi_sq`` is ``|xi|_g^2``), imposed by
+    eliminating ``lam = v**2 - xi_sq`` (so ``w = sqrt(v**2) = v``), and shifts
+    the spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
     Every denominator the calculus produces is a power of ``w`` or of
     ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so afterwards every
     denominator is a monomial in ``t`` and ``v``.  The remaining variables
     (``t, v, xi`` and the jet atoms) are algebraically independent and both
     substitutions are invertible, so the expression has exactly one expansion
-    as a Laurent polynomial in them: literal 0 exactly when the identity holds.
-    Raises ``ValueError`` when any other base is left under a negative or
-    fractional power, where no such expansion exists.
+    as a Laurent polynomial in them.  Raises ``ValueError`` when any other base
+    is left under a negative or fractional power, or any other function is
+    left, where no such expansion exists.
 
     The expansion is computed in a sparse polynomial ring over ``QQ(i)``
-    whose generators include ``1/t`` and ``1/v``, one conversion per distinct
-    subexpression.  ``t * (1/t)`` and ``v * (1/v)`` are cancelled in the ring,
-    so an identity comes out as the zero polynomial before any expression is
-    built.
-    Expressions already evaluated at the boundary point (no coefficient
-    jets left) carry the metric there, ``g^{ab} = delta^{ab}``.
+    whose generators are ``t, 1/t, v, 1/v`` and the remaining atoms, one
+    conversion per distinct subexpression.  Returns the ring and the nonzero
+    coefficients by exponent tuple, with ``t * (1/t)`` and ``v * (1/v)``
+    cancelled, so an identity comes out empty before any expression is built.
     """
-    xi_sq = ch.w ** 2 - ch.lam
-    if not any(_jet_key(s) for s in expr.free_symbols):
-        xi_sq = ch.eval_at_boundary_point(xi_sq)
     v = Symbol("v_princ", positive=True)
     t = Symbol("t_gap")
     e = expr.xreplace({ch.lam: v ** 2 - xi_sq, ch.mu: t + v})
@@ -732,6 +727,18 @@ def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
         k, l = min(tp, tn), min(vp, vn)
         mono = (tp - k, tn - k, vp - l, vn - l, *rest)
         terms[mono] = terms.get(mono, ring.domain.zero) + c
+    return ring, {mono: c for mono, c in terms.items() if c}
+
+
+def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
+    """The expansion of :func:`_laurent_expansion` as an expression: literal 0
+    exactly when the identity holds.  Expressions already evaluated at the
+    boundary point (no coefficient jets left) carry the metric there,
+    ``g^{ab} = delta^{ab}``."""
+    xi_sq = ch.w ** 2 - ch.lam
+    if not any(_jet_key(s) for s in expr.free_symbols):
+        xi_sq = ch.eval_at_boundary_point(xi_sq)
+    ring, terms = _laurent_expansion(ch, expr, xi_sq)
     return ring.from_dict(terms).as_expr()
 
 

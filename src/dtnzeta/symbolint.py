@@ -26,10 +26,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import sympy as sp
-from sympy import Rational, Symbol, pi
+from sympy import pi
 
 from .sfunc import S, SFunction, exact_zero, mu_residue, xi_moment
-from .symbolcas import BoundaryChart, chart
+from .symbolcas import BoundaryChart, _laurent_expansion, chart
 
 __all__ = [
     "boundary_reduce",
@@ -49,54 +49,43 @@ __all__ = [
 
 TERM_LABELS = ("I", "II", "III", "IV", "V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
 
-_Z = Symbol("z_radial", positive=True)
-_T = Symbol("t_contour")
-
 
 class CancellationError(AssertionError):
     """An opaque jet symbol survived integration although it must cancel."""
 
 
-def boundary_reduce(ch: BoundaryChart, scalar, *, apply_post: bool = True) -> sp.Expr:
+def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
     """Exact transform of a scalar resolvent-trace expression.
 
-    Evaluates the expression at the distinguished boundary point, normalizes
-    the spectral parameter to 1, performs the residue contour integral in
-    ``mu`` and the closed-moment integral in ``xi``, and (optionally) applies
-    the trace-level jet resolution rules.
-
-    Returns an exact sympy expression in ``s`` and curvature symbols.
+    Evaluates the expression at the distinguished boundary point and expands
+    it in ``t = mu - w`` and ``v = w`` as the identity proofs do.  With the
+    spectral parameter normalized to 1, a monomial ``t^{-j} v^k xi^e`` is the
+    residue ``(1/2 pi i) oint mu^{-s} (mu - w)^{-j} dmu`` times the closed
+    moment of ``xi^e w^{k-s-j+1}``, one of each per distinct ``(j, k, e)``.
+    Then the trace-level jet resolution rules are applied.  Raises
+    ``ValueError`` on a monomial with ``j < 1`` and on a non-Laurent factor.
     """
-    expr = ch.eval_at_boundary_point(scalar)
-    expr = expr.subs(ch.lam, 1)
-    base = sum(xi ** 2 for xi in ch.xis) + 1
-    expr = expr.subs(base, _Z ** 2)
-    if expr.has(ch.lam):
-        raise ValueError("spectral parameter survived normalization")
-    expr = sp.expand(expr.subs(ch.mu, _T + _Z))
-    total = sp.Integer(0)
-    for term in sp.Add.make_args(expr):
-        if term == 0:
-            continue
-        pd = dict(term.as_powers_dict())
-        tpow = pd.pop(_T, sp.Integer(0))
-        if not (tpow.is_integer and tpow < 0):
-            raise ValueError(f"unexpected contour-variable power {tpow} in {term}")
-        j = int(-tpow)
-        exps = tuple(int(pd.pop(xi, 0)) for xi in ch.xis)
+    # |xi|_g^2 at the boundary point, where g^{ab} = delta^{ab}
+    xi_sq = sum(xi ** 2 for xi in ch.xis)
+    ring, terms = _laurent_expansion(ch, ch.eval_at_boundary_point(scalar), xi_sq)
+    groups = {}
+    for (tp, tn, vp, vn, *rest), c in terms.items():
+        j = tn - tp
+        if j < 1:
+            raise ValueError(f"contour order {j} < 1: no residue at mu = w")
+        powers = dict(zip(ring.symbols[4:], rest))
+        exps = tuple(powers.pop(xi, 0) for xi in ch.xis)
         if any(e % 2 for e in exps):
             continue  # odd momentum moment: exact zero
-        ez = pd.pop(_Z, sp.Integer(0))
-        if not ez.is_integer:
-            raise ValueError(f"non-integer radial power {ez} in {term}")
-        rest = sp.Mul(*[b ** e for b, e in pd.items()])
+        key = (j, vp - vn, exps)
+        coeff = ring.domain.to_sympy(c) * sp.Mul(*[b ** e for b, e in powers.items()])
+        groups[key] = groups.get(key, sp.Integer(0)) + coeff
+    total = sp.Integer(0)
+    for (j, k, exps), coeff in groups.items():
         pre, shift = mu_residue(j)
-        P = (S + shift - ez) / 2
-        total += rest * pre.expr * xi_moment(ch.d, exps, P)
-    if apply_post:
-        total = sp.expand(total.xreplace(ch.post_integration_rules()))
-        total = _assert_cancellations(ch, total)
-    return total
+        total += coeff * pre.expr * xi_moment(ch.d, exps, (S + shift - k) / 2)
+    total = sp.expand(total.xreplace(ch.post_integration_rules()))
+    return _assert_cancellations(ch, total)
 
 
 def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
@@ -118,10 +107,10 @@ def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
     return sp.Add(*kept)
 
 
-def transform(ch: BoundaryChart, mat, **kw) -> sp.Expr:
+def transform(ch: BoundaryChart, mat) -> sp.Expr:
     """Trace of a projected symbol matrix, then :func:`boundary_reduce`."""
     tr = sum(mat[i, i] for i in range(mat.shape[0]))
-    return boundary_reduce(ch, tr, **kw)
+    return boundary_reduce(ch, tr)
 
 
 def _rationalize(expr: sp.Expr) -> sp.Expr:

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-import sympy as sp
 
 from .sfunc import riemann_zeta, zeta_deriv_at
 from .spectra import DtnProductSpectrum, PowerSpectrum, ProductSpectrum
@@ -83,47 +81,47 @@ def _float_rounding(val, magnitude=None) -> float:
 # Interval-mode sums
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _interval_sum_fn(s: int):
-    """Vectorized closed form of ``sum_{k>=1} (k^2 + t)^{-s}`` for integer s >= 1.
-
-    The cotangent identity ``sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) -
-    1/(2t)`` is differentiated symbolically in ``x = t^{-1/2}``,
-    ``V = coth(pi sqrt t) - 1`` and ``Q = csch(pi sqrt t)^2``, so every
-    derivative is a polynomial in ``(x, V, Q)``.  Its ``V, Q``-free part is the
-    large-``t`` expansion ``c_s t^{1/2-s} - t^{-s}/2``; the rest is
-    ``O(e^{-2 pi sqrt t})`` and is kept even where it is below an ulp of the
-    total.  For ``t >= 1`` nothing overflows and the value is accurate to a
-    few ulp; for small ``t`` the polynomial cancels catastrophically.
-    """
-    if s < 1:
-        raise ValueError("closed interval-mode sum needs integer s >= 1")
-    x, V, Q = sp.symbols("x V Q", positive=True)
-    expr = sp.pi * x * (1 + V) / 2 - x ** 2 / 2
-    for _ in range(s - 1):
-        # d/dt with dx/dt = -x^3/2, dV/dt = -pi x Q/2, dQ/dt = -pi x (1 + V) Q
-        expr = sp.expand(-x ** 3 / 2 * sp.diff(expr, x) - sp.pi * x * Q / 2 * sp.diff(expr, V)
-                         - sp.pi * x * (1 + V) * Q * sp.diff(expr, Q))
-    fn = sp.lambdify((x, V, Q), (-1) ** (s - 1) * expr / sp.factorial(s - 1), modules="numpy")
-
-    def evaluate(tval):
-        tval = np.asarray(tval, dtype=np.float64)
-        z = 2.0 * np.pi * np.sqrt(tval)
-        u, d = np.exp(-z), -np.expm1(-z)  # e^{-2 pi sqrt t} and 1 - e^{-2 pi sqrt t}
-        return fn(1.0 / np.sqrt(tval), 2.0 * u / d, 4.0 * u / (d * d))
-
-    return evaluate
+# sum_{k>=1} (k^2 + t)^{-s} for s = 1..4 as polynomials in x = t^{-1/2},
+# V = coth(pi sqrt t) - 1 and Q = csch(pi sqrt t)^2: the cotangent identity
+# sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) - 1/(2t), differentiated s - 1
+# times in t (dx/dt = -x^3/2, dV/dt = -pi x Q/2, dQ/dt = -pi x (1 + V) Q) and
+# divided by (-1)^{s-1} (s-1)!.  The V, Q-free part is the large-t expansion
+# c_s t^{1/2-s} - t^{-s}/2; the rest is O(e^{-2 pi sqrt t}) and is kept even
+# where it is below an ulp of the total.  Each polynomial is written with the
+# terms, factors and order of operations of sympy's lambdify of the expanded
+# derivative, so it evaluates bit for bit like that form.
+_INTERVAL_KERNELS = {
+    1: lambda x, V, Q: -1/2*x**2 + (1/2)*math.pi*x*(V + 1),
+    2: lambda x, V, Q: ((1/4)*math.pi**2*Q*x**2 + (1/4)*math.pi*V*x**3 - 1/2*x**4
+                        + (1/4)*math.pi*x**3),
+    3: lambda x, V, Q: ((1/8)*math.pi**3*Q*V*x**3 + (3/16)*math.pi**2*Q*x**4
+                        + (1/8)*math.pi**3*Q*x**3 + (3/16)*math.pi*V*x**5 - 1/2*x**6
+                        + (3/16)*math.pi*x**5),
+    4: lambda x, V, Q: ((1/48)*math.pi**4*Q**2*x**4 + (1/24)*math.pi**4*Q*V**2*x**4
+                        + (1/8)*math.pi**3*Q*V*x**5 + (1/12)*math.pi**4*Q*V*x**4
+                        + (5/32)*math.pi**2*Q*x**6 + (1/8)*math.pi**3*Q*x**5
+                        + (1/24)*math.pi**4*Q*x**4 + (5/32)*math.pi*V*x**7 - 1/2*x**8
+                        + (5/32)*math.pi*x**7),
+}
 
 
 def interval_mode_sum(s: int, t):
     """Exact-formula value of ``sum_{k>=1} (k^2 + t)^{-s}`` (vectorized in t).
 
-    Raises ``ValueError`` for ``t < 1``, where the closed form cancels
+    Implemented for ``s = 1, 2, 3, 4``; any other order raises ``ValueError``.
+    For ``t >= 1`` nothing overflows and the value is accurate to a few ulp.
+    Raises ``ValueError`` for ``t < 1``, where the polynomial cancels
     catastrophically (relative error 1e-4 at ``t = 1e-4``).
     """
-    if np.any(np.asarray(t) < 1):
+    kernel = _INTERVAL_KERNELS.get(s)
+    if kernel is None:
+        raise ValueError(f"closed interval-mode sum implemented for s in 1..4, not {s!r}")
+    tval = np.asarray(t, dtype=np.float64)
+    if np.any(tval < 1):
         raise ValueError("closed interval-mode sum is accurate only for t >= 1")
-    return _interval_sum_fn(int(s))(t)
+    z = 2.0 * np.pi * np.sqrt(tval)
+    u, d = np.exp(-z), -np.expm1(-z)  # e^{-2 pi sqrt t} and 1 - e^{-2 pi sqrt t}
+    return kernel(1.0 / np.sqrt(tval), 2.0 * u / d, 4.0 * u / (d * d))
 
 
 # ---------------------------------------------------------------------------

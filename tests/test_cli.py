@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dtnzeta import sfunc, symbolint
+from dtnzeta import geom, sfunc, symbolint
 from dtnzeta.cli import RunConfig, main, render_report, run
 
 
@@ -113,6 +113,29 @@ class TestMain:
 
     def test_unknown_geometry_exit_code(self, capsys):
         assert main(["geom-constants", "--geometry", "nonexistent"]) == 4
+
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("m", lambda g: g.update(m=2.0), id="m-float"),
+        pytest.param("kappa", lambda g: g["nodes"][0].update(kappa=["1.0"]), id="kappa-string"),
+        pytest.param("kappa", lambda g: g["nodes"][3].update(kappa=[math.nan]), id="kappa-nan"),
+        pytest.param("w", lambda g: g["nodes"][3].update(w=math.nan), id="w-nan"),
+        pytest.param("tau_M", lambda g: g["nodes"][0].update(tau_M=math.inf), id="tau_M-inf"),
+        pytest.param("V", lambda g: g.update(V=math.nan), id="V-nan"),
+    ])
+    def test_invalid_geometry_field_exit_code(self, tmp_path, capsys, field, edit):
+        # a non-integer m or a non-numeric kappa ended in a TypeError
+        # traceback; a NaN kappa or w printed bare NaN tokens; an infinite
+        # tau_M and a NaN V passed
+        payload = json.loads(geom.unit_disk().to_json())
+        edit(payload)
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert main(["geom-constants", "--m", "2", "--file", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: schema-or-range: geometry field {field!r} must be ")
 
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
     @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from dtnzeta.sfunc import exact_zero
+from dtnzeta.sfunc import S, exact_zero
 from dtnzeta.symbolcas import chart
 from dtnzeta.symbolint import (
     TERM_LABELS,
@@ -12,6 +12,7 @@ from dtnzeta.symbolint import (
     a0_density,
     a0_reference,
     a1_coefficient,
+    boundary_reduce,
     interior_coefficient_difference,
     pi0_density,
     q_density,
@@ -20,6 +21,39 @@ from dtnzeta.symbolint import (
     reference_term_table,
     term_table,
 )
+
+
+class TestBoundaryReduce:
+    """Contour residue and momentum moment of single Laurent monomials on the
+    dimension-2 fiber, where ``(2 pi)^{-1} int (1 + xi^2)^{-P} dxi`` is
+    ``Gamma(P - 1/2) / (2 sqrt(pi) Gamma(P))``."""
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda ch, g, x: 1 / g ** 2,
+         -S * sp.gamma(S / 2) / (2 * sp.sqrt(sp.pi) * sp.gamma(S / 2 + sp.Rational(1, 2)))),
+        (lambda ch, g, x: x / g ** 2, sp.Integer(0)),
+        (lambda ch, g, x: x ** 2 / (g * ch.w ** 3),
+         sp.gamma(S / 2) / (4 * sp.sqrt(sp.pi) * sp.gamma(S / 2 + sp.Rational(3, 2)))),
+    ], ids=["double-pole", "odd-moment", "xi-squared"])
+    def test_monomials(self, make, expected):
+        ch = chart(2, 0)
+        got = boundary_reduce(ch, make(ch, ch.mu - ch.w, ch.xis[0]))
+        assert exact_zero(got - expected)
+
+    @pytest.mark.parametrize("make", [
+        lambda ch, g, x: g,
+        lambda ch, g, x: sp.Integer(1),
+        lambda ch, g, x: sp.sqrt(g),
+        lambda ch, g, x: 1 / (g * (ch.w + 1)),
+        lambda ch, g, x: sp.log(ch.w) / g,
+        lambda ch, g, x: sp.exp(x) / g ** 2,
+    ], ids=["no-pole", "constant", "square-root", "other-denominator", "log", "exp"])
+    def test_rejects_non_laurent_input(self, make):
+        # the log and exp inputs returned results holding the internal radial
+        # variable or the integration variable before
+        ch = chart(2, 0)
+        with pytest.raises(ValueError):
+            boundary_reduce(ch, make(ch, ch.mu - ch.w, ch.xis[0]))
 
 
 class TestDim2Densities:

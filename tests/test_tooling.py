@@ -6,6 +6,9 @@ its ``TARGETS`` table, and a rename or deletion in the package would break the
 traced run.  The table is read from the file's source, so nothing under
 ``perfbench/`` is imported or written.
 
+The numeric layer (``spectra``, ``zetadet``) imports no sympy itself, so the
+computer algebra system stays in the symbolic modules.
+
 Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 ``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
 branch in the package, and no test keeps its own ``_exact_zero``.
@@ -15,6 +18,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracing.py"
@@ -51,6 +56,16 @@ def test_all_names_exist():
         mod = importlib.import_module(name)
         absent = [n for n in mod.__all__ if not hasattr(mod, n)]
         assert not absent, f"{name}.__all__ lists missing names {absent}"
+
+
+@pytest.mark.parametrize("module", ["spectra", "zetadet"])
+def test_numeric_layer_imports_no_sympy(module):
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / f"{module}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported if name.split(".")[0] == "sympy"]
 
 
 SIMPLIFIERS = {"simplify", "gammasimp", "cancel"}

@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -60,7 +61,34 @@ def interval_mode_sum_bessel(s: int, t: float) -> mp.mpf:
             p += 1
 
 
+def interval_mode_sum_derived(s: int, t: np.ndarray) -> np.ndarray:
+    """The cotangent kernel derived with sympy and lambdified.
+
+    ``sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) - 1/(2t)`` is differentiated
+    ``s - 1`` times in ``t`` as a polynomial in ``x = t^{-1/2}``,
+    ``V = coth(pi sqrt t) - 1`` and ``Q = csch(pi sqrt t)^2``.
+    """
+    x, V, Q = sp.symbols("x V Q", positive=True)
+    expr = sp.pi * x * (1 + V) / 2 - x ** 2 / 2
+    for _ in range(s - 1):
+        # d/dt with dx/dt = -x^3/2, dV/dt = -pi x Q/2, dQ/dt = -pi x (1 + V) Q
+        expr = sp.expand(-x ** 3 / 2 * sp.diff(expr, x) - sp.pi * x * Q / 2 * sp.diff(expr, V)
+                         - sp.pi * x * (1 + V) * Q * sp.diff(expr, Q))
+    fn = sp.lambdify((x, V, Q), (-1) ** (s - 1) * expr / sp.factorial(s - 1), modules="numpy")
+    z = 2.0 * np.pi * np.sqrt(t)
+    u, d = np.exp(-z), -np.expm1(-z)
+    return fn(1.0 / np.sqrt(t), 2.0 * u / d, 4.0 * u / (d * d))
+
+
 class TestIntervalModeSum:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_literal_kernel_matches_derivation(self, s):
+        # the written-out polynomials evaluate bit for bit like the lambdified
+        # sympy derivation, on log-uniform t in [1, 1e12] and at t = 1
+        t = np.concatenate([[1.0], np.exp(np.random.default_rng(s).uniform(
+            0.0, math.log(1e12), 20_000))])
+        assert np.array_equal(interval_mode_sum(s, t), interval_mode_sum_derived(s, t))
+
     @pytest.mark.parametrize("s", [1, 2, 3])
     @given(t=st.floats(min_value=0.05, max_value=1e6))
     def test_closed_form_matches_direct(self, s, t):
@@ -92,6 +120,11 @@ class TestIntervalModeSum:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             interval_mode_sum(0, 1.0)
+
+    @pytest.mark.parametrize("s", [5, 2.5])
+    def test_rejects_orders_without_kernel(self, s):
+        with pytest.raises(ValueError):
+            interval_mode_sum(s, 1.0)
 
 
 class TestAffineZeta:
