@@ -123,11 +123,10 @@ def _run_derive_terms(cfg: RunConfig) -> list[dict]:
         rows.append(_row(f"trace-term-{label}", f"trace-term.dim3.q{cfg.q}.{label}",
                          expression=str(computed[label]),
                          status="PASS" if ok else "FAIL"))
-    total = sum(computed[label] for label in TERM_LABELS)
+    total = sp.cancel(sp.together(sum(computed[label] for label in TERM_LABELS)))
     ok = exact_zero(total - reference_table_sum(cfg.q))
     rows.append(_row("trace-term-sum", f"trace-term.dim3.q{cfg.q}.sum",
-                     expression=str(sp.cancel(sp.together(total))),
-                     status="PASS" if ok else "FAIL"))
+                     expression=str(total), status="PASS" if ok else "FAIL"))
     return rows
 
 

@@ -128,12 +128,21 @@ class GeometrySpec:
     @staticmethod
     def from_json(text: str) -> "GeometrySpec":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a geometry file must hold a JSON object, got {type(payload).__name__}")
+        nodes = payload["nodes"]
+        if not (isinstance(nodes, list) and all(isinstance(n, dict) for n in nodes)):
+            raise ValueError(f"geometry field 'nodes' must be a list of objects, got {nodes!r}")
+        for n in nodes:
+            if not isinstance(n["kappa"], list):
+                raise ValueError(f"geometry field 'kappa' must be a list, got {n['kappa']!r}")
         return GeometrySpec(
             m=payload["m"],
             nodes=tuple(
                 BoundaryNode(w=n["w"], kappa=tuple(n["kappa"]),
                              tau_M=n.get("tau_M", 0.0), tau_Y=n.get("tau_Y", 0.0))
-                for n in payload["nodes"]
+                for n in nodes
             ),
             V=payload["V"],
             ellY=payload["ellY"],

@@ -5,13 +5,13 @@ expansion is turned into a spectral density:
 
 * ``SFunction`` -- a thin wrapper around a sympy expression in the complex
   variable ``s`` built from rational functions, exponential scalings ``c**(-s)``
-  and Gamma-function ratios.  It supports exact evaluation, exact derivative at
-  a point and high-precision numeric evaluation.  The point values come from
-  the jet of a sum ``sum_i c_i f_i(s)``: the terms are grouped by their few
-  distinct ``s``-factors ``f_i``, and each factor's Laurent coefficients are
-  computed once per point (``subs``/``diff`` of the Gamma-simplified factor,
-  ``series`` only at a pole).  A pole part that does not cancel, or a branch
-  point, raises ``DomainError``.
+  and Gamma-function ratios.  It gives the exact value and exact derivative at
+  a point, unsimplified (display forms are chosen by the caller).  The point
+  values come from the jet of a sum ``sum_i c_i f_i(s)``: the terms are
+  grouped by their few distinct ``s``-factors ``f_i``, and each factor's
+  Laurent coefficients are computed once per point (``subs``/``diff`` of the
+  Gamma-simplified factor, ``series`` only at a pole).  A pole part that does
+  not cancel, or a branch point, raises ``DomainError``.
 * ``exact_zero`` -- the one exact zero test of the package: a rational
   function of ``s`` and of Gamma factors ``Gamma(a*s + b)`` is normalized to
   one representative per Gamma class and decided by an expanded numerator.
@@ -22,7 +22,8 @@ expansion is turned into a spectral density:
 * ``xi_moment`` -- the exact monomial moment
   ``(2 pi)^{-d} int xi^e (1 + |xi|^2)^{-P} dxi`` over ``R^d``.
 * ``riemann_zeta`` / ``zeta_deriv_at`` -- the Riemann zeta function and its
-  derivative at a requested working precision (``mpmath.zeta``).
+  derivative at a requested working precision (``mpmath.zeta``, memoized per
+  argument, precision and order).
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class SFunction:
 
     def value_at(self, s0) -> sp.Expr:
         """Exact value at ``s = s0`` (limit if removable)."""
-        return sp.simplify(_jet(self.expr, sp.sympify(s0))[0])
+        return _jet(self.expr, sp.sympify(s0))[0]
 
     def deriv_at(self, s0) -> sp.Expr:
         """Exact derivative value at ``s = s0`` (limit if removable)."""
-        return sp.simplify(_jet(self.expr, sp.sympify(s0))[1])
+        return _jet(self.expr, sp.sympify(s0))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,20 @@ def exact_zero(expr) -> bool:
     Raises ``ValueError`` on any other ``s``-dependent atom, such as
     ``2**(-s)``, ``gamma(s**2)`` or ``polygamma(0, s)``.
     """
-    expr = sp.sympify(expr)
+    expr, _ = _gamma_classes(sp.sympify(expr))
+    if not expr.is_rational_function(S):
+        raise ValueError("no exact zero test: not a rational function of s and Gamma(a*s + b)")
+    return sp.expand(sp.numer(sp.together(expr))) == 0
+
+
+def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, frozenset[sp.Dummy]]:
+    """``expr`` with each ``Gamma(a*s + b)`` written as its class representative
+    ``Gamma(a*s + b mod 1)``, an independent symbol, times a rising factorial
+    in ``s``; returns the rewritten expression and the representatives.
+
+    Raises ``ValueError`` on a Gamma factor whose argument is not ``a*s + b``
+    with ``a > 0`` and ``b`` rational.
+    """
     classes: dict[sp.Expr, sp.Dummy] = {}
     normal = {}
     for g in expr.atoms(sp.gamma):
@@ -109,14 +123,11 @@ def exact_zero(expr) -> bool:
         a = sp.diff(arg, S)
         b = sp.expand(arg - a * S)
         if not (a.is_Rational and a > 0 and b.is_Rational):
-            raise ValueError(f"no exact zero test for {g}: argument not a*s + b, a > 0 rational")
+            raise ValueError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
         n = b.p // b.q
         x = a * S + b - n
         normal[g] = classes.setdefault(x, sp.Dummy(f"Gamma({x})")) * sp.rf(x, n)
-    expr = expr.xreplace(normal)
-    if not expr.is_rational_function(S):
-        raise ValueError("no exact zero test: not a rational function of s and Gamma(a*s + b)")
-    return sp.expand(sp.numer(sp.together(expr))) == 0
+    return expr.xreplace(normal), frozenset(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +202,7 @@ def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
     (value, derivative) : pair of exact sympy expressions.
     """
     k = sp.Rational(Fraction(str(k))) if not isinstance(k, (int, sp.Basic)) else sp.sympify(k)
-    value, deriv = _jet(sp.gamma(S - k) / sp.gamma(S), sp.Integer(0))
-    return sp.simplify(value), sp.simplify(deriv)
+    return _jet(sp.gamma(S - k) / sp.gamma(S), sp.Integer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +279,20 @@ def xi_moment(dim: int, exponents: tuple[int, ...], p_expr) -> sp.Expr:
 # Riemann zeta
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
+def _zeta_kernel(sv: mp.mpf, dps: int, derivative: int) -> mp.mpf:
+    """``mpmath.zeta`` at ``sv`` with ``dps`` working digits, memoized for the
+    process: the numeric commands ask for the same few arguments many times."""
+    with mp.workdps(dps):
+        return mp.zeta(sv, derivative=derivative)
+
+
 def _zeta(s, dps: int, derivative: int) -> mp.mpf:
     with mp.workdps(dps):
         sv = mp.mpf(s)
-        if sv == 1:
-            raise DomainError("zeta has a pole at s = 1")
-        result = mp.zeta(sv, derivative=derivative)
-    return +result
+    if sv == 1:
+        raise DomainError("zeta has a pole at s = 1")
+    return +_zeta_kernel(sv, dps, derivative)
 
 
 def riemann_zeta(s, dps: int = 40) -> mp.mpf:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import sympy as sp
 from sympy import pi
 
-from .sfunc import S, SFunction, exact_zero, mu_residue, xi_moment
+from .sfunc import S, SFunction, _gamma_classes, exact_zero, mu_residue, xi_moment
 from .symbolcas import BoundaryChart, _laurent_expansion, chart
 
 __all__ = [
@@ -114,7 +114,24 @@ def transform(ch: BoundaryChart, mat) -> sp.Expr:
 
 
 def _rationalize(expr: sp.Expr) -> sp.Expr:
-    return sp.cancel(sp.together(sp.gammasimp(sp.expand(expr))))
+    """One fraction of polynomials in ``s`` equal to ``expr``, a rational
+    function of ``s`` and of Gamma factors whose classes must cancel."""
+    normal, classes = _gamma_classes(expr)
+    out = sp.cancel(sp.together(normal))
+    if out.free_symbols & classes:
+        raise ValueError(f"Gamma factors do not cancel in {expr}")
+    return out
+
+
+def _density_display(ch: BoundaryChart, jet: sp.Expr) -> sp.Expr:
+    """The display form of a density jet, the one ``simplify`` of the package
+    (it picks the golden strings and decides nothing).  Raises
+    :class:`CancellationError` if a symbol other than a curvature is left."""
+    val = sp.simplify(sp.expand(jet))
+    leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
+    if leftovers:
+        raise CancellationError(f"unresolved symbols in density: {leftovers}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +149,18 @@ def _deep_transform(m: int, q: int) -> sp.Expr:
 
 def a0_density(m: int, q: int) -> sp.Expr:
     """Determinant-gluing constant density: ``+ d/ds|_0`` of the deep transform."""
-    F = SFunction(_deep_transform(m, q))
-    val = F.deriv_at(0)
-    ch = chart(m, q)
-    leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
-    if leftovers:
-        raise CancellationError(f"unresolved symbols in density: {leftovers}")
-    return val
+    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).deriv_at(0))
 
 
 def q_density(m: int, q: int) -> sp.Expr:
     """Zeta-at-zero density: ``(1/2) F(0)`` of the deep transform."""
-    F = SFunction(_deep_transform(m, q))
-    val = sp.simplify(F.value_at(0) / 2)
-    ch = chart(m, q)
-    leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
-    if leftovers:
-        raise CancellationError(f"unresolved symbols in density: {leftovers}")
-    return val
+    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).value_at(0) / 2)
 
 
 def pi0_density(q: int) -> sp.Expr:
     """Leading boundary zeta density in ambient dimension 3 (from ``r_{-1}``)."""
     ch = chart(3, q)
-    F = SFunction(transform(ch, ch.resolvent()["r1"]))
-    return -F.deriv_at(0)
+    return _density_display(ch, -SFunction(transform(ch, ch.resolvent()["r1"])).deriv_at(0))
 
 
 def interior_coefficient_difference(q: int) -> sp.Expr:

@@ -137,6 +137,25 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith(
             f"error: schema-or-range: geometry field {field!r} must be ")
 
+    @pytest.mark.parametrize("field, make", [
+        pytest.param("nodes", lambda g: {**g, "nodes": 5}, id="nodes-number"),
+        pytest.param("nodes", lambda g: {**g, "nodes": [5]}, id="node-number"),
+        pytest.param("kappa", lambda g: {**g, "nodes": [{**g["nodes"][0], "kappa": 1.0}]},
+                     id="kappa-number"),
+        pytest.param(None, lambda g: [1, 2], id="payload-list"),
+    ])
+    def test_invalid_geometry_shape_exit_code(self, tmp_path, capsys, field, make):
+        # each of these ended in a TypeError traceback
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(make(json.loads(geom.unit_disk().to_json()))))
+        assert main(["geom-constants", "--m", "2", "--file", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        head = (f"geometry field {field!r} must be " if field
+                else "a geometry file must hold a JSON object")
+        assert len(err) == 1 and err[0].startswith(f"error: schema-or-range: {head}")
+
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
     @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])
     def test_long_and_short_cylinders(self, capsys, command, args):

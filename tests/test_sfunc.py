@@ -84,6 +84,40 @@ class TestRiemannZeta:
             assert abs(riemann_zeta(3, 100) - mp.apery) < mp.mpf(10) ** -95
 
 
+class TestZetaMemo:
+    """The mpmath kernel is memoized per (argument, digits, order); every call
+    still returns the value of a fresh ``mp.zeta`` at the caller's precision."""
+
+    @pytest.mark.parametrize("s", [0, -1, 0.5, 2, 3.25, mp.mpf(7) / 3])
+    @pytest.mark.parametrize("dps", [15, 40, 60])
+    def test_bit_identical_to_fresh_zeta(self, s, dps):
+        with mp.workdps(dps):
+            for fn, order in ((riemann_zeta, 0), (zeta_deriv_at, 1)):
+                want = mp.zeta(mp.mpf(s), derivative=order)
+                first, second = fn(s, dps), fn(s, dps)
+                assert first == want and second == want, (fn.__name__, s, dps)
+
+    def test_cached_value_rounds_to_each_caller(self):
+        s = mp.mpf(1) / 7  # an argument no other test asks for
+        with mp.workdps(80):
+            full = mp.zeta(s)
+        with mp.workdps(15):
+            low = riemann_zeta(s, 80)  # computes at 80 digits, returns 15
+            assert low == +full
+        assert low != full
+        with mp.workdps(80):
+            assert riemann_zeta(s, 80) == full  # the cached 80-digit value
+        with mp.workdps(15):
+            assert riemann_zeta(s, 80) == low
+
+    def test_pole_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                riemann_zeta(1)
+            with pytest.raises(DomainError):
+                zeta_deriv_at(1.0, 50)
+
+
 class TestMuResidue:
     def test_orders(self):
         f1, shift1 = mu_residue(1)

@@ -9,6 +9,7 @@ from dtnzeta.symbolint import (
     TERM_LABELS,
     CancellationError,
     _assert_cancellations,
+    _rationalize,
     a0_density,
     a0_reference,
     a1_coefficient,
@@ -20,6 +21,7 @@ from dtnzeta.symbolint import (
     reference_table_sum,
     reference_term_table,
     term_table,
+    transform,
 )
 
 
@@ -54,6 +56,26 @@ class TestBoundaryReduce:
         ch = chart(2, 0)
         with pytest.raises(ValueError):
             boundary_reduce(ch, make(ch, ch.mu - ch.w, ch.xis[0]))
+
+
+def _rationalize_reference(expr):
+    """The term-table normal form before the Gamma-class substitution."""
+    return sp.cancel(sp.together(sp.gammasimp(sp.expand(expr))))
+
+
+class TestRationalize:
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_same_string_as_gammasimp(self, q):
+        ch = chart(3, q)
+        res = ch.resolvent()
+        for label in TERM_LABELS:
+            raw = transform(ch, res[label])
+            assert str(_rationalize(raw)) == str(_rationalize_reference(raw)), label
+
+    @pytest.mark.parametrize("expr", [sp.gamma(S / 2), sp.gamma(S) / sp.gamma(S / 2)])
+    def test_surviving_class_raises(self, expr):
+        with pytest.raises(ValueError):
+            _rationalize(expr)
 
 
 class TestDim2Densities:

@@ -11,7 +11,9 @@ computer algebra system stays in the symbolic modules.
 
 Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 ``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
-branch in the package, and no test keeps its own ``_exact_zero``.
+branch in the package, and no test keeps its own ``_exact_zero``.  The
+heuristic simplifiers appear in one place each: ``simplify`` in the density
+display helper, ``gammasimp`` in the per-factor Laurent coefficients.
 """
 
 import ast
@@ -123,3 +125,28 @@ def test_no_private_exact_zero():
               for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.FunctionDef) and node.name == "_exact_zero"]
     assert not copies, f"use dtnzeta.sfunc.exact_zero instead of {copies}"
+
+
+# the one function of the package that may refer to each heuristic simplifier
+HEURISTIC_HOMES = {"simplify": ("symbolint.py", "_density_display"),
+                   "gammasimp": ("sfunc.py", "_factor_laurent")}
+
+
+def _references(node, function=None):
+    """``(name, innermost enclosing function)`` of every name or attribute."""
+    for child in ast.iter_child_nodes(node):
+        inner = function
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, (ast.Name, ast.Attribute)):
+            yield getattr(child, "attr", getattr(child, "id", None)), function
+        yield from _references(child, inner)
+
+
+def test_heuristic_simplifiers_have_one_home():
+    found = {name: set() for name in HEURISTIC_HOMES}
+    for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
+        for name, function in _references(ast.parse(path.read_text())):
+            if name in found:
+                found[name].add((path.name, function))
+    assert found == {name: {home} for name, home in HEURISTIC_HOMES.items()}
