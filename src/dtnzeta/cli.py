@@ -319,8 +319,12 @@ def main(argv=None) -> int:
               f"of the pipeline ({type(exc).__name__})", file=sys.stderr)
         return 4
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(report + "\n")
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(report + "\n")
+        except OSError as exc:
+            print(f"error: output: {exc}", file=sys.stderr)
+            return 3
     print(report)
     return status
 

@@ -83,6 +83,8 @@ class GeometrySpec:
     def __post_init__(self):
         if not isinstance(self.m, int):
             raise ValueError(f"geometry field 'm' must be an integer, got {self.m!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"geometry field 'label' must be a string, got {self.label!r}")
         nodes = self.nodes
         for name, values in (("V", [self.V]), ("ellY", [self.ellY]),
                              ("w", [n.w for n in nodes]),

@@ -5,13 +5,13 @@ expansion is turned into a spectral density:
 
 * ``SFunction`` -- a thin wrapper around a sympy expression in the complex
   variable ``s`` built from rational functions, exponential scalings ``c**(-s)``
-  and Gamma-function ratios.  It gives the exact value and exact derivative at
-  a point, unsimplified (display forms are chosen by the caller).  The point
-  values come from the jet of a sum ``sum_i c_i f_i(s)``: the terms are
-  grouped by their few distinct ``s``-factors ``f_i``, and each factor's
-  Laurent coefficients are computed once per point (``subs``/``diff`` of the
-  Gamma-simplified factor, ``series`` only at a pole).  A pole part that does
-  not cancel, or a branch point, raises ``DomainError``.
+  and Gamma-function ratios.  It gives the exact value and derivative at a
+  point, unsimplified.  The point values come from the jet of a sum
+  ``sum_i c_i f_i(s)``: the terms are grouped by their few distinct
+  ``s``-factors ``f_i``, and each factor's Laurent coefficients are computed
+  once per point (``subs``/``diff`` after ``gammasimp``, the package's one
+  heuristic simplifier; ``series`` only at a pole).  A pole part that does not
+  cancel, or a branch point, raises ``DomainError``.
 * ``exact_zero`` -- the one exact zero test of the package: a rational
   function of ``s`` and of Gamma factors ``Gamma(a*s + b)`` is normalized to
   one representative per Gamma class and decided by an expanded numerator.

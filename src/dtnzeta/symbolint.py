@@ -90,12 +90,12 @@ def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
 
 def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
     """Verify that every monomial in the must-cancel jet symbols has
-    coefficient zero, and return the expanded ``expr`` without them."""
+    coefficient zero in the expanded sum ``expr``; return it without them."""
     survivors = expr.free_symbols & ch.must_cancel
     if not survivors:
         return expr
     kept, coeffs = [], {}
-    for term in sp.Add.make_args(sp.expand(expr)):
+    for term in sp.Add.make_args(expr):
         coeff, mono = term.as_independent(*survivors, as_Add=False)
         if mono == 1:
             kept.append(term)
@@ -124,10 +124,10 @@ def _rationalize(expr: sp.Expr) -> sp.Expr:
 
 
 def _density_display(ch: BoundaryChart, jet: sp.Expr) -> sp.Expr:
-    """The display form of a density jet, the one ``simplify`` of the package
-    (it picks the golden strings and decides nothing).  Raises
+    """The display form ``together(expand(jet))`` of a density jet, a normal
+    form of curvature polynomials that decides nothing.  Raises
     :class:`CancellationError` if a symbol other than a curvature is left."""
-    val = sp.simplify(sp.expand(jet))
+    val = sp.together(sp.expand(jet))
     leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
     if leftovers:
         raise CancellationError(f"unresolved symbols in density: {leftovers}")

@@ -121,11 +121,16 @@ class TestMain:
         pytest.param("w", lambda g: g["nodes"][3].update(w=math.nan), id="w-nan"),
         pytest.param("tau_M", lambda g: g["nodes"][0].update(tau_M=math.inf), id="tau_M-inf"),
         pytest.param("V", lambda g: g.update(V=math.nan), id="V-nan"),
+        pytest.param("label", lambda g: g.update(label=["x"]), id="label-list"),
+        pytest.param("label", lambda g: g.update(label={"a": 1}), id="label-object"),
+        pytest.param("label", lambda g: g.update(label=5), id="label-number"),
+        pytest.param("label", lambda g: g.update(label=None), id="label-null"),
     ])
     def test_invalid_geometry_field_exit_code(self, tmp_path, capsys, field, edit):
         # a non-integer m or a non-numeric kappa ended in a TypeError
         # traceback; a NaN kappa or w printed bare NaN tokens; an infinite
-        # tau_M and a NaN V passed
+        # tau_M and a NaN V passed; a list or object label ended in a
+        # TypeError traceback, and a number or null label passed
         payload = json.loads(geom.unit_disk().to_json())
         edit(payload)
         path = tmp_path / "geometry.json"
@@ -173,6 +178,17 @@ class TestMain:
         printed = capsys.readouterr().out.strip()
         assert on_disk == printed
         assert json.loads(on_disk)["status"] == "PASS"
+
+    @pytest.mark.parametrize("target", [lambda d: d / "missing" / "report.json",
+                                        lambda d: d], ids=["missing-directory", "directory"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, target):
+        # the write ended in a FileNotFoundError or IsADirectoryError
+        # traceback with exit 1, after the whole pipeline had run
+        assert main(["specfun-selftest", "--output", str(target(tmp_path))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output: ")
 
 
 # a reference off by a relative 1e-6, exact over QQ

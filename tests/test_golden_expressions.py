@@ -2,9 +2,11 @@
 
 ``tests/data/golden_expressions.json`` holds the ``str()`` of every boundary
 density, ``pi0_density`` and the Gamma-ratio jets at zero, recorded before the
-s-jet moved to per-factor Laurent coefficients.  The semantic checks in
-``test_symbolint.py`` would accept any equal expression; this test requires
-the same string.
+s-jet moved to per-factor Laurent coefficients; ``a0_density(2, 1)`` and
+``q_density(3, 0)`` were re-recorded, equal in value, when the display form
+became ``together(expand(.))``.  The semantic checks in ``test_symbolint.py``
+would accept any equal expression; this test requires the same string, also
+from the hand-written references.
 """
 
 import json
@@ -14,7 +16,9 @@ import pytest
 import sympy as sp
 
 from dtnzeta.sfunc import gamma_ratio_at_zero
-from dtnzeta.symbolint import a0_density, pi0_density, q_density
+from dtnzeta.symbolcas import chart
+from dtnzeta.symbolint import (_density_display, a0_density, a0_reference, pi0_density,
+                               q_density, q_density_reference)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_expressions.json").read_text())
 
@@ -23,6 +27,16 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_expressions.json")
 def test_densities(m, q):
     assert str(a0_density(m, q)) == GOLDEN[f"a0_density({m}, {q})"]
     assert str(q_density(m, q)) == GOLDEN[f"q_density({m}, {q})"]
+
+
+@pytest.mark.parametrize("density, reference", [(a0_density, a0_reference),
+                                                (q_density, q_density_reference)],
+                         ids=["a0", "q"])
+@pytest.mark.parametrize("m,q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_display_of_reference(density, reference, m, q):
+    # the hand-written reference, an independently written expression of the
+    # same value, displays as the same string as the derived density
+    assert str(_density_display(chart(m, q), reference(m, q))) == str(density(m, q))
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])

@@ -11,14 +11,18 @@ computer algebra system stays in the symbolic modules.
 
 Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 ``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
-branch in the package, and no test keeps its own ``_exact_zero``.  The
-heuristic simplifiers appear in one place each: ``simplify`` in the density
-display helper, ``gammasimp`` in the per-factor Laurent coefficients.
+branch in the package, and no test keeps its own ``_exact_zero``.  The one
+heuristic simplifier left, ``gammasimp``, appears only in the per-factor
+Laurent coefficients; ``simplify`` appears nowhere, and deriving a density
+does not import ``sympy.physics.units`` (which ``simplify`` loads).
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,9 +131,9 @@ def test_no_private_exact_zero():
     assert not copies, f"use dtnzeta.sfunc.exact_zero instead of {copies}"
 
 
-# the one function of the package that may refer to each heuristic simplifier
-HEURISTIC_HOMES = {"simplify": ("symbolint.py", "_density_display"),
-                   "gammasimp": ("sfunc.py", "_factor_laurent")}
+# the functions of the package that may refer to each heuristic simplifier
+HEURISTIC_HOMES = {"simplify": set(),
+                   "gammasimp": {("sfunc.py", "_factor_laurent")}}
 
 
 def _references(node, function=None):
@@ -149,4 +153,15 @@ def test_heuristic_simplifiers_have_one_home():
         for name, function in _references(ast.parse(path.read_text())):
             if name in found:
                 found[name].add((path.name, function))
-    assert found == {name: {home} for name, home in HEURISTIC_HOMES.items()}
+    assert found == HEURISTIC_HOMES
+
+
+def test_density_derivation_imports_no_units():
+    code = ("import sys\n"
+            "from dtnzeta.symbolint import a0_density, q_density\n"
+            "a0_density(2, 1), q_density(3, 0)\n"
+            "print('sympy.physics.units' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
