@@ -22,7 +22,8 @@ spectra
     Closed-form model spectra (circle, cylinder, disk) as structured data.
 zetadet
     Spectral zeta functions, zeta-regularized determinants, and the cylinder
-    verification drivers.
+    verification drivers; the cylinder DtN operator only at ``s = 0``, in
+    closed form.
 geom
     Quadrature geometry specifications, curvature-integral constants, Gram
     determinants, gluing-identity assembly, conformal-variation check.

@@ -163,15 +163,18 @@ def _load_geometry(cfg: RunConfig):
         if not os.path.exists(cfg.file):
             raise FileNotFoundError(cfg.file)
         with open(cfg.file) as fh:
-            return G.GeometrySpec.from_json(fh.read())
-    name = cfg.geometry or "unit-disk"
-    if name == "unit-disk":
-        return G.unit_disk()
-    if name == "unit-ball":
-        return G.unit_ball()
-    if name == "cylinder":
-        return G.cylinder_boundary(cfg.a, cfg.L)
-    raise ValueError(f"unknown geometry {name!r}")
+            geom = G.GeometrySpec.from_json(fh.read())
+    else:
+        name = cfg.geometry or ("unit-disk" if cfg.m == 2 else "unit-ball")
+        builders = {"unit-disk": G.unit_disk, "unit-ball": G.unit_ball,
+                    "cylinder": lambda: G.cylinder_boundary(cfg.a, cfg.L)}
+        if name not in builders:
+            raise ValueError(f"unknown geometry {name!r}")
+        geom = builders[name]()
+    if geom.m != cfg.m:
+        raise ValueError(f"geometry {geom.label!r} has dimension {geom.m}, "
+                         f"but dimension m = {cfg.m} was requested")
+    return geom
 
 
 _GOLDEN_CONSTANTS = {

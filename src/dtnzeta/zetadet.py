@@ -10,20 +10,20 @@ evaluation path:
   ``k = 0`` and zero-mode rows.  The lattice sum is resummed along the wider
   gap (Chowla--Selberg): the narrow direction is summed in closed form by the
   cotangent kernel ``interval_mode_sum``, which leaves two Riemann zeta terms
-  and an exponentially convergent Bessel-K remainder of a few terms; at
-  ``s = 0`` the analytic continuation of each family is used;
+  and an exponentially convergent Bessel-K remainder of a few terms.  This is
+  implemented at ``s = 2, 3``; at ``s = 0`` the analytic continuation of each
+  family is used;
 * cylinder DtN spectra pair each cross-section eigenvalue ``lam`` into the
   branches ``sqrt(lam) coth(x/2)`` and ``sqrt(lam) tanh(x/2)``,
   ``x = a sqrt(lam)``, whose product is ``lam``.  So the log-determinant is
   ``kernel_dim ln(2/a)`` plus that of the cross-section, and the zeta at 0 is
-  ``kernel_dim + 2 zeta_base(0)``, both in closed form.  At ``s > 0`` the zeta
-  is the zero-mode branch, twice the cross-section zeta at half argument, and
-  a numerically summed correction over branch pairs.
+  ``kernel_dim + 2 zeta_base(0)``, both in closed form.  Only ``s = 0`` is
+  implemented: no check reads the DtN zeta anywhere else.
 
 ``logdet_star`` is the zeta-regularized log-determinant ``-zeta'(0)`` with the
 kernel excluded.  Every ``ZetaValue.error_bound`` is computed: a truncation
-bound for the series that are cut off, plus the float64 rounding of the
-magnitudes that are summed.
+bound for the Bessel-K remainder, which is cut off, plus the float64 rounding
+of the magnitudes that are summed.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 _UNIT = 2.0 ** -53  # float64 unit roundoff
-_KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1 and s <= 4, in ulp
+_KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1, in ulp
 _REMAINDER_DIGITS = 20  # Bessel-K remainder terms kept until e^{-2 pi r m} < 1e-20
 # accepted cylinder lengths a, L: the lattice sums raise pi/a and 2 pi/L to
-# powers up to 2s = 8 and square their ratio, which stays inside float64 here
+# powers up to 2s = 6 and square their ratio, which stays inside float64 here
 _CYLINDER_RANGE = (1e-30, 1e30)
 
 
@@ -62,9 +62,6 @@ class ZetaValue:
     value: float
     error_bound: float
     method: str
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _float_rounding(val, magnitude=None) -> float:
@@ -81,7 +78,7 @@ def _float_rounding(val, magnitude=None) -> float:
 # Interval-mode sums
 # ---------------------------------------------------------------------------
 
-# sum_{k>=1} (k^2 + t)^{-s} for s = 1..4 as polynomials in x = t^{-1/2},
+# sum_{k>=1} (k^2 + t)^{-s} for s = 2, 3 as polynomials in x = t^{-1/2},
 # V = coth(pi sqrt t) - 1 and Q = csch(pi sqrt t)^2: the cotangent identity
 # sum 1/(k^2+t) = pi coth(pi sqrt t)/(2 sqrt t) - 1/(2t), differentiated s - 1
 # times in t (dx/dt = -x^3/2, dV/dt = -pi x Q/2, dQ/dt = -pi x (1 + V) Q) and
@@ -91,31 +88,26 @@ def _float_rounding(val, magnitude=None) -> float:
 # terms, factors and order of operations of sympy's lambdify of the expanded
 # derivative, so it evaluates bit for bit like that form.
 _INTERVAL_KERNELS = {
-    1: lambda x, V, Q: -1/2*x**2 + (1/2)*math.pi*x*(V + 1),
     2: lambda x, V, Q: ((1/4)*math.pi**2*Q*x**2 + (1/4)*math.pi*V*x**3 - 1/2*x**4
                         + (1/4)*math.pi*x**3),
     3: lambda x, V, Q: ((1/8)*math.pi**3*Q*V*x**3 + (3/16)*math.pi**2*Q*x**4
                         + (1/8)*math.pi**3*Q*x**3 + (3/16)*math.pi*V*x**5 - 1/2*x**6
                         + (3/16)*math.pi*x**5),
-    4: lambda x, V, Q: ((1/48)*math.pi**4*Q**2*x**4 + (1/24)*math.pi**4*Q*V**2*x**4
-                        + (1/8)*math.pi**3*Q*V*x**5 + (1/12)*math.pi**4*Q*V*x**4
-                        + (5/32)*math.pi**2*Q*x**6 + (1/8)*math.pi**3*Q*x**5
-                        + (1/24)*math.pi**4*Q*x**4 + (5/32)*math.pi*V*x**7 - 1/2*x**8
-                        + (5/32)*math.pi*x**7),
 }
 
 
 def interval_mode_sum(s: int, t):
     """Exact-formula value of ``sum_{k>=1} (k^2 + t)^{-s}`` (vectorized in t).
 
-    Implemented for ``s = 1, 2, 3, 4``; any other order raises ``ValueError``.
+    Implemented for ``s = 2, 3``, the orders the cylinder checks use; any
+    other order raises ``ValueError``.
     For ``t >= 1`` nothing overflows and the value is accurate to a few ulp.
     Raises ``ValueError`` for ``t < 1``, where the polynomial cancels
     catastrophically (relative error 1e-4 at ``t = 1e-4``).
     """
     kernel = _INTERVAL_KERNELS.get(s)
     if kernel is None:
-        raise ValueError(f"closed interval-mode sum implemented for s in 1..4, not {s!r}")
+        raise ValueError(f"closed interval-mode sum implemented for s in 2, 3, not {s!r}")
     tval = np.asarray(t, dtype=np.float64)
     if np.any(tval < 1):
         raise ValueError("closed interval-mode sum is accurate only for t >= 1")
@@ -175,8 +167,8 @@ def _zeta_product(spec: ProductSpectrum, s, dps: int = 30) -> ZetaValue:
     s = float(s)
     if s == 0:
         return _zeta_product_at_zero(spec, dps)
-    if s not in (2, 3, 4):
-        raise ValueError("product-lattice zeta implemented at s in {2, 3, 4} and s = 0")
+    if s not in (2, 3):
+        raise ValueError("product-lattice zeta implemented at s in {2, 3} and s = 0")
     s = int(s)
     alpha = math.pi / spec.a
     zeta_odd = float(riemann_zeta(2 * s - 1, dps))
@@ -225,9 +217,11 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
 def _zeta_dtn_at_zero(spec: DtnProductSpectrum, dps: int = 30) -> ZetaValue:
     """DtN zeta at 0 in closed form: ``kernel_dim + 2 zeta_base(0)``.
 
-    The branch-pair corrections to twice the cross-section zeta at ``s/2``
-    (see ``_zeta_dtn``) vanish term by term at ``s = 0``, and the zero-mode
-    branch ``(2/a)^{-s}`` is 1 there.
+    The DtN zeta is the zero-mode branch ``(2/a)^{-s}``, twice the
+    cross-section zeta at ``s/2``, and the sum over branch pairs of
+    ``lam^{-s/2} (coth(x/2)^{-s} + tanh(x/2)^{-s} - 2)``, which converges
+    exponentially and vanishes term by term at ``s = 0``; the zero-mode branch
+    is 1 there.
     """
     with mp.workdps(dps):
         base = _zeta_affine(spec.base_q, 0, dps)
@@ -237,59 +231,6 @@ def _zeta_dtn_at_zero(spec: DtnProductSpectrum, dps: int = 30) -> ZetaValue:
         return ZetaValue(float(total), err, "dtn-closed-form")
 
 
-_DTN_MAX_TERMS = 10_000
-_DTN_TOL = 1e-25  # branch-pair corrections kept until both c are below this
-
-
-def _zeta_dtn(spec: DtnProductSpectrum, s, dps: int = 30) -> ZetaValue:
-    """DtN zeta at ``s > 0``: the zero-mode branch ``(2/a)^{-s}``, twice the
-    cross-section zeta at ``s/2``, and the branch-pair corrections
-    ``lam^{-s/2} ((1 + c_plus)^{-s} + (1 - c_minus)^{-s} - 2)`` with
-    ``c_plus = 2/(e^x - 1)``, ``c_minus = 2/(e^x + 1)``, ``x = a sqrt(lam)``.
-
-    The corrections are summed mode by mode until both ``c`` fall below
-    ``_DTN_TOL``; raises ``ValueError`` if that takes more than ``_DTN_MAX_TERMS``
-    cross-section modes (a very short cylinder).
-    """
-    if s <= 0:
-        raise ValueError("DtN zeta series implemented at s > 0 (closed form at s = 0)")
-    base = spec.base_q
-    if base.power < 2:
-        raise ValueError("DtN branch-pair tail needs a cross-section power >= 2")
-    with mp.workdps(dps):
-        sv = mp.mpf(s)
-        total = spec.kernel_dim * mp.power(2 / mp.mpf(spec.a), -sv)
-        base_half = _zeta_affine(base, sv / 2, dps)
-        magnitude = abs(total) + 2 * abs(base_half.value)
-        total += 2 * mp.mpf(base_half.value)
-        corr = mp.mpf(0)
-        for n in range(1, _DTN_MAX_TERMS + 1):
-            lam = mp.mpf(base.coeff) * n ** base.power
-            x = spec.a * mp.sqrt(lam)
-            cp = 2 / mp.expm1(x)
-            cm = 2 / (mp.e ** x + 1)
-            weight = base.mult * mp.power(lam, -sv / 2)
-            corr += weight * (mp.power(1 + cp, -sv) + mp.power(1 - cm, -sv) - 2)
-            magnitude += 2 * weight
-            if cp < _DTN_TOL and cm < _DTN_TOL:
-                break
-        else:
-            raise ValueError(
-                f"DtN branch-pair series not below {_DTN_TOL:g} after {_DTN_MAX_TERMS} terms "
-                f"(a = {spec.a:g}; last correction {float(cp):.3g})")
-        total += corr
-        # past mode n, x grows by at least x_1 = a sqrt(coeff) per mode (power
-        # >= 2), so c_plus falls at least geometrically with ratio e^{-x_1};
-        # c_minus < c_plus < 1/2, so each left-out term is at most
-        # mult lam^{-s/2} s (c_plus + 2 c_minus), and lam^{-s/2} decreases
-        lam = base.coeff * (n + 1) ** base.power
-        x = spec.a * math.sqrt(lam)
-        w = 2 * math.exp(-x) / -math.expm1(-x) / -math.expm1(-spec.a * math.sqrt(base.coeff))
-        tail = 3 * float(sv) * base.mult * lam ** (-float(sv) / 2) * w
-        err = tail + 2 * base_half.error_bound + _float_rounding(total, magnitude)
-        return ZetaValue(float(total), err, "dtn-branch-split")
-
-
 def zeta(stream, s, dps: int = 30) -> ZetaValue:
     """Spectral zeta function of a model spectrum at real ``s`` (kernel excluded)."""
     if isinstance(stream, PowerSpectrum):
@@ -297,7 +238,10 @@ def zeta(stream, s, dps: int = 30) -> ZetaValue:
     if isinstance(stream, ProductSpectrum):
         return _zeta_product(stream, s, dps)
     if isinstance(stream, DtnProductSpectrum):
-        return _zeta_dtn_at_zero(stream, dps) if s == 0 else _zeta_dtn(stream, s, dps)
+        if s != 0:
+            raise ValueError("DtN zeta implemented at s = 0 only, in closed form "
+                             "kernel_dim + 2 zeta_base(0)")
+        return _zeta_dtn_at_zero(stream, dps)
     raise TypeError(f"unknown spectrum {type(stream)!r}")
 
 

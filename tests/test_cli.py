@@ -114,6 +114,30 @@ class TestMain:
     def test_unknown_geometry_exit_code(self, capsys):
         assert main(["geom-constants", "--geometry", "nonexistent"]) == 4
 
+    @pytest.mark.parametrize("args, m, name", [([], 3, "unit-ball"),
+                                               (["--m", "2"], 2, "unit-disk")])
+    def test_default_geometry_follows_dimension(self, capsys, args, m, name):
+        # without --geometry the built-in follows --m; the bare command asks for m = 3
+        assert main(["geom-constants", *args]) == 0
+        _, expected = run(RunConfig(command="geom-constants", m=m, geometry=name))
+        assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("source", ["built-in", "file"])
+    def test_dimension_mismatch_exit_code(self, tmp_path, capsys, source):
+        # the dim-3 constants were reported under the requested m = 2
+        if source == "file":
+            path = tmp_path / "geometry.json"
+            path.write_text(geom.unit_ball(n_polar=2, n_azimuth=2).to_json())
+            args = ["--file", str(path)]
+        else:
+            args = ["--geometry", "unit-ball"]
+        assert main(["geom-constants", *args, "--m", "2", "--q", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: schema-or-range: geometry 'unit-ball' has dimension 3, "
+            "but dimension m = 2 was requested"]
+
     @pytest.mark.parametrize("field, edit", [
         pytest.param("m", lambda g: g.update(m=2.0), id="m-float"),
         pytest.param("kappa", lambda g: g["nodes"][0].update(kappa=["1.0"]), id="kappa-string"),
@@ -164,8 +188,8 @@ class TestMain:
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
     @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])
     def test_long_and_short_cylinders(self, capsys, command, args):
-        # L/a >= 1200: the DtN log-det and zeta at 0 are closed forms, so no
-        # branch-pair series (and no term cap) stands between them and PASS
+        # L/a >= 1200: the DtN log-det and zeta at 0 are closed forms, so
+        # they PASS for any cylinder length
         assert main([command, *args]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         checks = [r for r in rows if r["status"] != "INFO"]

@@ -8,7 +8,6 @@ from dtnzeta.spectra import (
     ProductSpectrum,
     circle_form_spectrum,
     disk_steklov_spectrum,
-    product_laplacian_spectra,
 )
 
 
@@ -27,10 +26,6 @@ class TestPowerSpectrum:
 
 
 class TestProductSpectrum:
-    def test_kernel_only_for_absolute(self):
-        sabs, sdir = product_laplacian_spectra(1.0, 2 * math.pi, 0)
-        assert sabs.kernel_dim == 1 and sdir.kernel_dim == 0
-
     def test_invalid_boundary_condition(self):
         base = circle_form_spectrum(2 * math.pi, 0)
         with pytest.raises(ValueError):
