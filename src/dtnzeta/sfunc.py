@@ -9,12 +9,13 @@ expansion is turned into a spectral density:
   point, unsimplified.  The point values come from the jet of a sum
   ``sum_i c_i f_i(s)``: the terms are grouped by their few distinct
   ``s``-factors ``f_i``, and each factor's Laurent coefficients are computed
-  once per point (``subs``/``diff`` after ``gammasimp``, the package's one
-  heuristic simplifier; ``series`` only at a pole).  A pole part that does not
-  cancel, or a branch point, raises ``DomainError``.
-* ``exact_zero`` -- the one exact zero test of the package: a rational
-  function of ``s`` and of Gamma factors ``Gamma(a*s + b)`` is normalized to
-  one representative per Gamma class and decided by an expanded numerator.
+  once per point (``subs``/``diff`` of its Gamma normal form; ``series`` only
+  at a pole).  A pole part that does not cancel, or a branch point, raises
+  ``DomainError``.
+* ``exact_zero`` / ``rationalize`` -- the exact zero test and the one rational
+  form: each ``Gamma(a*s + b)`` becomes one representative per Gamma class times
+  a rational factor (the package's only Gamma normalization); then an expanded
+  numerator decides zero, or the classes cancel to one fraction in ``s``.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
@@ -29,7 +30,6 @@ expansion is turned into a spectral density:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -41,6 +41,7 @@ __all__ = [
     "DomainError",
     "DivergentMomentError",
     "exact_zero",
+    "rationalize",
     "gamma_ratio_at_zero",
     "mu_residue",
     "xi_moment",
@@ -65,7 +66,7 @@ class SFunction:
     """A meromorphic function of ``s`` with exact sympy backing.
 
     The atom shapes produced by the pipeline are rational functions of ``s``,
-    exponential scalings ``c**(-s)`` and ratios ``Gamma(s + p)/Gamma(s + q)``.
+    exponential scalings ``c**(-s)`` and the Gamma factors of ``exact_zero``.
     """
 
     expr: sp.Expr
@@ -89,9 +90,9 @@ def exact_zero(expr) -> bool:
     ``expr`` must be a rational function of ``s`` and of Gamma factors
     ``Gamma(a*s + b)`` with ``a > 0`` and ``b`` rational; its ``s``-free part
     may hold any constants (``pi``, ``log(2)``, ``EulerGamma``, ...) and
-    symbols.  Each factor is written as its class representative
-    ``Gamma(a*s + b mod 1)`` times a rising factorial in ``s``, the
-    representatives become independent symbols, and ``expr`` is zero when the
+    symbols.  Each factor is written as its class representative times a
+    rising factorial in ``s`` (see ``_gamma_classes``), the representatives
+    become independent symbols, and ``expr`` is zero when the
     expanded numerator of its ``together`` form is.  A True verdict is exact,
     since it holds for any value of the symbols; a relation among the
     constants or the representatives that this form does not apply could
@@ -106,10 +107,23 @@ def exact_zero(expr) -> bool:
     return sp.expand(sp.numer(sp.together(expr))) == 0
 
 
-def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, frozenset[sp.Dummy]]:
+def rationalize(expr) -> sp.Expr:
+    """One fraction of polynomials in ``s`` equal to ``expr``, a rational
+    function of ``s`` and of Gamma factors whose classes must cancel."""
+    normal, classes = _gamma_classes(expr)
+    out = sp.cancel(sp.together(normal))
+    if out.free_symbols & classes.keys():
+        raise ValueError(f"Gamma factors do not cancel in {expr}")
+    return out
+
+
+def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
     """``expr`` with each ``Gamma(a*s + b)`` written as its class representative
-    ``Gamma(a*s + b mod 1)``, an independent symbol, times a rising factorial
-    in ``s``; returns the rewritten expression and the representatives.
+    ``Gamma(x)``, an independent symbol, times a rising factorial in ``s``;
+    returns the rewritten expression and ``{representative: x}``.  The offset
+    ``x - a*s`` lies in ``(0, 1]``: ``Gamma(x)`` is finite and nonzero at
+    ``s = 0``, so any pole there sits in the rational factor, where it cancels
+    (``s*Gamma(s/2)/Gamma(s/2 + 1/2)`` would read ``0*oo`` with ``[0, 1)``).
 
     Raises ``ValueError`` on a Gamma factor whose argument is not ``a*s + b``
     with ``a > 0`` and ``b`` rational.
@@ -124,10 +138,10 @@ def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, frozenset[sp.Dummy]]:
         b = sp.expand(arg - a * S)
         if not (a.is_Rational and a > 0 and b.is_Rational):
             raise ValueError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
-        n = b.p // b.q
+        n = -(-b.p // b.q) - 1
         x = a * S + b - n
         normal[g] = classes.setdefault(x, sp.Dummy(f"Gamma({x})")) * sp.rf(x, n)
-    return expr.xreplace(normal), frozenset(classes.values())
+    return expr.xreplace(normal), {rep: x for x, rep in classes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +159,13 @@ def _branch_point(f: sp.Expr, s0: sp.Expr) -> bool:
 def _factor_laurent(factor: sp.Expr, s0: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
     """Laurent coefficients ``(k, c_k)`` (``k <= 1``) of ``factor`` at ``s = s0``.
 
-    The factor is Gamma-simplified first.  Where it is regular, ``subs`` and
-    ``diff`` give its two Taylor coefficients; only at a pole is it expanded
-    with ``series``.  Raises :class:`DomainError` at a branch point.
+    The factor is put in the Gamma normal form of ``_gamma_classes``.  Where it
+    is regular, ``subs`` and ``diff`` give its two Taylor coefficients; only at
+    a pole is it expanded with ``series``.  Raises :class:`DomainError` at a
+    branch point.
     """
-    f = sp.gammasimp(factor)
+    normal, classes = _gamma_classes(factor)
+    f = normal.xreplace({rep: sp.gamma(x) for rep, x in classes.items()})
     if _branch_point(f, s0):
         raise DomainError(f"branch point of {factor} at s = {s0}")
     taylor = (f.subs(S, s0), sp.diff(f, S).subs(S, s0))
@@ -191,18 +207,13 @@ def _jet(expr: sp.Expr, s0: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
 
 @lru_cache(maxsize=None)
 def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
-    """Value and derivative at ``s = 0`` of ``Gamma(s - k) / Gamma(s)``.
+    """Exact value and derivative at ``s = 0`` of ``Gamma(s - k) / Gamma(s)``.
 
     For ``k`` a nonnegative integer the ratio is the rational function
     ``1 / ((s-1)(s-2)...(s-k))``; for non-integer ``k`` the ratio vanishes at
     ``s = 0`` (simple zero from ``1/Gamma(s)``) with derivative ``Gamma(-k)``.
-
-    Returns
-    -------
-    (value, derivative) : pair of exact sympy expressions.
     """
-    k = sp.Rational(Fraction(str(k))) if not isinstance(k, (int, sp.Basic)) else sp.sympify(k)
-    return _jet(sp.gamma(S - k) / sp.gamma(S), sp.Integer(0))
+    return _jet(sp.gamma(S - sp.Rational(k)) / sp.gamma(S), sp.Integer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +224,8 @@ def mu_residue(order: int) -> tuple[SFunction, int]:
     """Residue data for ``(1/2 pi i) oint mu^{-s} (mu - z)^{-order} dmu``.
 
     The contour encircles the ray where ``z`` lives; the result is
-    ``prefactor(s) * z**(-s - (order - 1))``.
-
-    Returns
-    -------
-    (prefactor, shift) : the ``SFunction`` prefactor and the integer ``order-1``
-        by which the exponent of ``z`` is shifted below ``-s``.
+    ``prefactor(s) * z**(-s - shift)``.  Returns the ``SFunction`` prefactor
+    and the integer ``shift = order - 1``.
     """
     if order < 1:
         raise DomainError("pole order must be >= 1")

@@ -28,7 +28,7 @@ from functools import lru_cache
 import sympy as sp
 from sympy import pi
 
-from .sfunc import S, SFunction, _gamma_classes, exact_zero, mu_residue, xi_moment
+from .sfunc import S, SFunction, exact_zero, mu_residue, rationalize, xi_moment
 from .symbolcas import BoundaryChart, _laurent_expansion, chart
 
 __all__ = [
@@ -113,16 +113,6 @@ def transform(ch: BoundaryChart, mat) -> sp.Expr:
     return boundary_reduce(ch, tr)
 
 
-def _rationalize(expr: sp.Expr) -> sp.Expr:
-    """One fraction of polynomials in ``s`` equal to ``expr``, a rational
-    function of ``s`` and of Gamma factors whose classes must cancel."""
-    normal, classes = _gamma_classes(expr)
-    out = sp.cancel(sp.together(normal))
-    if out.free_symbols & classes:
-        raise ValueError(f"Gamma factors do not cancel in {expr}")
-    return out
-
-
 def _density_display(ch: BoundaryChart, jet: sp.Expr) -> sp.Expr:
     """The display form ``together(expand(jet))`` of a density jet, a normal
     form of curvature polynomials that decides nothing.  Raises
@@ -191,7 +181,7 @@ def term_table(q: int) -> dict[str, sp.Expr]:
     """Transform of each labelled piece of the deepest dimension-3 trace."""
     ch = chart(3, q)
     res = ch.resolvent()
-    return {lab: _rationalize(transform(ch, res[lab])) for lab in TERM_LABELS}
+    return {lab: rationalize(transform(ch, res[lab])) for lab in TERM_LABELS}
 
 
 def _generators(q: int):

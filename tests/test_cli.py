@@ -26,6 +26,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(command="derive-a0", m=2, q=2)
 
+    @pytest.mark.parametrize("command, m", [("verify-cylinder", 2), ("verify-zeta-zero", 2),
+                                            ("conformal-check", 2), ("derive-a0", 3),
+                                            ("geom-constants", 3), ("specfun-selftest", 3)])
+    def test_dimension_defaults_to_command(self, command, m):
+        assert RunConfig(command=command).m == m
+
 
 class TestReports:
     def test_canonical_round_trip(self):
@@ -121,6 +127,21 @@ class TestMain:
         assert main(["geom-constants", *args]) == 0
         _, expected = run(RunConfig(command="geom-constants", m=m, geometry=name))
         assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero", "conformal-check"])
+    def test_two_dimensional_command_rejects_m3(self, capsys, command):
+        # these model [0, a] x S^1 or the disk and reported their rows under m = 3
+        assert main([command, "--m", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: invalid-config: {command} models a 2-dimensional geometry, "
+            "but dimension m = 3 was requested"]
+
+    @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero", "conformal-check"])
+    def test_two_dimensional_command_bare(self, capsys, command):
+        assert main([command]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
 
     @pytest.mark.parametrize("source", ["built-in", "file"])
     def test_dimension_mismatch_exit_code(self, tmp_path, capsys, source):

@@ -6,7 +6,9 @@ s-jet moved to per-factor Laurent coefficients; ``a0_density(2, 1)`` and
 ``q_density(3, 0)`` were re-recorded, equal in value, when the display form
 became ``together(expand(.))``.  The semantic checks in ``test_symbolint.py``
 would accept any equal expression; this test requires the same string, also
-from the hand-written references.
+from the hand-written references.  The ``str()`` of every ``term_table`` piece
+and of the ``derive-terms`` sum row was recorded when Gamma normalization moved
+into ``dtnzeta.sfunc.rationalize``.
 """
 
 import json
@@ -15,10 +17,11 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
+from dtnzeta.cli import RunConfig, run
 from dtnzeta.sfunc import gamma_ratio_at_zero
 from dtnzeta.symbolcas import chart
-from dtnzeta.symbolint import (_density_display, a0_density, a0_reference, pi0_density,
-                               q_density, q_density_reference)
+from dtnzeta.symbolint import (TERM_LABELS, _density_display, a0_density, a0_reference,
+                               pi0_density, q_density, q_density_reference, term_table)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_expressions.json").read_text())
 
@@ -47,3 +50,13 @@ def test_pi0_density(q):
 @pytest.mark.parametrize("k", ["1", "1/2", "2"])
 def test_gamma_ratio_at_zero(k):
     assert [str(e) for e in gamma_ratio_at_zero(sp.Rational(k))] == GOLDEN[f"gamma_ratio_at_zero({k})"]
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_term_table(q):
+    table = term_table(q)
+    assert ({lab: str(table[lab]) for lab in TERM_LABELS}
+            == {lab: GOLDEN[f"term_table({q})[{lab}]"] for lab in TERM_LABELS})
+    rows = json.loads(run(RunConfig(command="derive-terms", q=q))[1])["rows"]
+    assert rows[-1]["quantity"] == "trace-term-sum"
+    assert rows[-1]["expression"] == GOLDEN[f"derive_terms_sum({q})"]

@@ -197,6 +197,13 @@ class TestSFunction:
             numeric = float((f(mp.mpf(h)) - f(mp.mpf(-h))) / (2 * h))
         assert abs(exact - numeric) < 1e-8
 
+    @pytest.mark.parametrize("expr, s0", [(sp.gamma(1 - S), 0), (sp.gamma(S ** 2), 1)])
+    def test_gamma_without_class_raises(self, expr, s0):
+        # the Gamma factors exact_zero accepts and no others; both are regular
+        # at s0, so the error is not a pole
+        with pytest.raises(ValueError, match="no Gamma class"):
+            SFunction(expr).value_at(s0)
+
 
 # factor shapes of the pipeline: s^a Gamma(s/2 + p) / Gamma(s/2 + r), with
 # p, r half-integers; the coefficients are free symbols

@@ -11,10 +11,11 @@ computer algebra system stays in the symbolic modules.
 
 Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 ``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
-branch in the package, and no test keeps its own ``_exact_zero``.  The one
-heuristic simplifier left, ``gammasimp``, appears only in the per-factor
-Laurent coefficients; ``simplify`` appears nowhere, and deriving a density
-does not import ``sympy.physics.units`` (which ``simplify`` loads).
+branch in the package, and no test keeps its own ``_exact_zero``.  Neither
+heuristic simplifier, ``simplify`` or ``gammasimp``, appears in the package,
+and deriving a density does not import ``sympy.physics.units`` (which
+``simplify`` loads).  The Gamma normal form ``_gamma_classes`` is referred to
+only inside ``sfunc.py``; other modules use ``exact_zero`` and ``rationalize``.
 """
 
 import ast
@@ -132,8 +133,7 @@ def test_no_private_exact_zero():
 
 
 # the functions of the package that may refer to each heuristic simplifier
-HEURISTIC_HOMES = {"simplify": set(),
-                   "gammasimp": {("sfunc.py", "_factor_laurent")}}
+HEURISTIC_HOMES = {"simplify": set(), "gammasimp": set()}
 
 
 def _references(node, function=None):
@@ -154,6 +154,18 @@ def test_heuristic_simplifiers_have_one_home():
             if name in found:
                 found[name].add((path.name, function))
     assert found == HEURISTIC_HOMES
+
+
+def test_gamma_normal_form_has_one_home():
+    homes = set()
+    for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [name for name, _ in _references(tree)]
+        names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names]
+        if "_gamma_classes" in names:
+            homes.add(path.name)
+    assert homes == {"sfunc.py"}
 
 
 def test_density_derivation_imports_no_units():
