@@ -10,6 +10,14 @@ computed quantity::
 The process exit status is nonzero exactly when some row FAILs.  Citations are
 stable descriptive identifiers of the derived quantity (e.g.
 ``a0-density.dim3.q1``), usable as cross-references from external reports.
+
+One table, ``_COMMANDS``, says for each command its pipeline, the dimensions
+it models (``--m`` defaults to the last) and the options it reads; every
+command reads ``--output``.  An option counts as given when it differs from
+its default, and a given option the command does not read is rejected with
+exit 2 (``invalid-config``), so an explicit default value passes.
+``geom-constants`` reads ``--a`` and ``--L`` only with ``--geometry cylinder``,
+and no ``--geometry`` with ``--file``.
 """
 
 from __future__ import annotations
@@ -19,30 +27,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import mpmath as mp
 import sympy as sp
 
 __all__ = ["RunConfig", "run", "main"]
 
-_COMMANDS = (
-    "derive-a0",
-    "derive-terms",
-    "verify-cylinder",
-    "verify-zeta-zero",
-    "geom-constants",
-    "conformal-check",
-    "specfun-selftest",
-)
-# the commands that model the 2-dimensional cylinder [0, a] x S^1 or the disk
-_DIM2_COMMANDS = ("verify-cylinder", "verify-zeta-zero", "conformal-check")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one CLI invocation; ``m`` defaults to the
-    command's dimension."""
+    """Validated parameters of one CLI invocation; ``m`` defaults to the last
+    dimension the command models."""
 
     command: str
     m: int | None = None
@@ -57,15 +54,22 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        _, dims, reads = _COMMANDS[self.command]
+        if self.command == "geom-constants" and self.file:
+            reads = reads - {"geometry"}  # a file replaces the built-in geometry
+        elif self.command == "geom-constants" and self.geometry == "cylinder":
+            reads = reads | {"a", "L"}
+        unread = [f"--{f.name}" for f in fields(self)[1:] if f.name not in reads | {"output"}
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.command} does not read {', '.join(unread)}")
         if self.dps < 15:
             raise ValueError("precision must be at least 15 digits")
         if self.m is None:
-            object.__setattr__(self, "m", 2 if self.command in _DIM2_COMMANDS else 3)
-        if self.m not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
-        if self.command in _DIM2_COMMANDS and self.m != 2:
-            raise ValueError(f"{self.command} models a 2-dimensional geometry, "
-                             f"but dimension m = {self.m} was requested")
+            object.__setattr__(self, "m", dims[-1])
+        if self.m not in dims:
+            raise ValueError(f"{self.command} models a {'- or '.join(map(str, dims))}"
+                             f"-dimensional geometry, but dimension m = {self.m} was requested")
         if not 0 <= self.q <= self.m - 1:
             raise ValueError(f"degree {self.q} out of range for dimension {self.m}")
         if not (math.isfinite(self.a) and math.isfinite(self.L)):
@@ -121,8 +125,6 @@ def _run_derive_terms(cfg: RunConfig) -> list[dict]:
     from .sfunc import exact_zero, rationalize
     from .symbolint import (TERM_LABELS, reference_table_sum, reference_term_table,
                             term_table)
-    if cfg.m != 3:
-        raise ValueError("the term table is a 3-dimensional derivation")
     computed = term_table(cfg.q)
     expected = reference_term_table(cfg.q)
     rows = []
@@ -269,20 +271,25 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-_PIPELINES = {
-    "derive-a0": _run_derive_a0,
-    "derive-terms": _run_derive_terms,
-    "verify-cylinder": _run_verify_cylinder,
-    "verify-zeta-zero": _run_verify_zeta_zero,
-    "geom-constants": _run_geom_constants,
-    "conformal-check": _run_conformal_check,
-    "specfun-selftest": _run_specfun_selftest,
+# command -> (pipeline, the dimensions it models, the options it reads besides --output)
+_Command = namedtuple("_Command", "pipeline dims reads")
+_CYLINDER = frozenset({"m", "q", "a", "L", "dps"})
+_COMMANDS = {
+    "derive-a0": _Command(_run_derive_a0, (2, 3), frozenset({"m", "q"})),
+    "derive-terms": _Command(_run_derive_terms, (3,), frozenset({"m", "q"})),
+    "verify-cylinder": _Command(_run_verify_cylinder, (2,), _CYLINDER),
+    "verify-zeta-zero": _Command(_run_verify_zeta_zero, (2,), _CYLINDER),
+    "geom-constants": _Command(_run_geom_constants, (2, 3),
+                               frozenset({"m", "q", "geometry", "file"})),
+    "conformal-check": _Command(_run_conformal_check, (2,), frozenset({"m"})),
+    # reads no --m; its m stays 3
+    "specfun-selftest": _Command(_run_specfun_selftest, (3,), frozenset({"dps"})),
 }
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute one pipeline; return (exit status, canonical JSON report)."""
-    rows = _PIPELINES[cfg.command](cfg)
+    rows = _COMMANDS[cfg.command].pipeline(cfg)
     report = render_report(cfg.command, rows)
     status = 0 if all(r["status"] != "FAIL" for r in rows) else 1
     return status, report
@@ -294,9 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Derive and verify Dirichlet-to-Neumann zeta-determinant "
                     "constants on model geometries.")
     parser.add_argument("command", choices=_COMMANDS)
+    dims = "; ".join(f"{c}: {' or '.join(map(str, d))}" for c, (_, d, r) in _COMMANDS.items()
+                     if "m" in r)
     parser.add_argument("--m", type=int, default=None,
-                        help="interior dimension (2 or 3; default 2 for "
-                             f"{', '.join(_DIM2_COMMANDS)}, 3 otherwise)")
+                        help=f"interior dimension ({dims}; default the last listed)")
     parser.add_argument("--q", type=int, default=0, help="form degree")
     parser.add_argument("--a", type=float, default=1.0, help="cylinder length")
     parser.add_argument("--L", type=float, default=2 * math.pi,

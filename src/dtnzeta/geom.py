@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -133,10 +133,12 @@ class GeometrySpec:
         if not isinstance(payload, dict):
             raise ValueError(
                 f"a geometry file must hold a JSON object, got {type(payload).__name__}")
+        _check_keys(payload, GeometrySpec)
         nodes = payload["nodes"]
         if not (isinstance(nodes, list) and all(isinstance(n, dict) for n in nodes)):
             raise ValueError(f"geometry field 'nodes' must be a list of objects, got {nodes!r}")
         for n in nodes:
+            _check_keys(n, BoundaryNode)
             if not isinstance(n["kappa"], list):
                 raise ValueError(f"geometry field 'kappa' must be a list, got {n['kappa']!r}")
         return GeometrySpec(
@@ -150,6 +152,14 @@ class GeometrySpec:
             ellY=payload["ellY"],
             label=payload.get("label", ""),
         )
+
+
+def _check_keys(obj: dict, cls) -> None:
+    """Reject a geometry-file key that names no field of ``cls``."""
+    keys = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown geometry key {key!r}, expected one of {', '.join(keys)}")
 
 
 @dataclass(frozen=True)

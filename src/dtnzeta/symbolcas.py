@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 import sympy as sp
@@ -250,7 +250,8 @@ class BoundaryChart:
         self.Id_proj = eye(self.n_proj)
 
         self.must_cancel = self._must_cancel()
-        self._cache: dict[str, object] = {}
+        self.conn_values = connection_matrices(m, q, self.kappas)
+        self.e_value_matrix = self._e_value_matrix()
 
     # -- elementary operations --------------------------------------------
     def d_xi(self, X, a: int):
@@ -306,11 +307,9 @@ class BoundaryChart:
         return M - self.E
 
     # -- graded symbol solution -------------------------------------------
+    @cache
     def alphas_full(self) -> tuple[Matrix, Matrix, Matrix]:
         """The solution ``(alpha_1, alpha_0, alpha_{-1})`` on the full fiber."""
-        key = "alphas_full"
-        if key in self._cache:
-            return self._cache[key]
         w = self.w
         B, Cmat = self._riccati_coefficients(self.om[self.m - 1])
 
@@ -323,8 +322,7 @@ class BoundaryChart:
 
         parts = self._alpha_minus1_parts(a1, a0, _mm(a0, a0), self.p0, B, Cmat)
         am1 = (1 / (2 * w)) * sum(parts, zeros(self.n_full, self.n_full))
-        self._cache[key] = (a1, a0, am1)
-        return self._cache[key]
+        return a1, a0, am1
 
     def _alpha_minus1_parts(self, a1, a0_left, a0_sq_src, p0, B, Cmat) -> list[Matrix]:
         """The eight summands of ``2 w alpha_{-1}`` (shared full/projected)."""
@@ -346,6 +344,7 @@ class BoundaryChart:
         P8 = Cmat
         return [P1, P2, P3, P4, P5, P6, P7, P8]
 
+    @cache
     def alphas_tilde(self) -> tuple[Matrix, Matrix, Matrix]:
         """Projected (tangential) symbol expansion with the square correction.
 
@@ -353,42 +352,32 @@ class BoundaryChart:
         uses the tilde-quantities recursion, with the quadratic piece replaced
         by the projection of the full square.
         """
-        key = "alphas_tilde"
-        if key in self._cache:
-            return self._cache[key]
         a1f, a0f, _ = self.alphas_full()
         a1t = self.w * self.Id_proj
         a0t = self.project(a0f)
         parts = self.alpha_tilde_parts()
         am1t = (1 / (2 * self.w)) * sum(parts, zeros(self.n_proj, self.n_proj))
-        self._cache[key] = (a1t, a0t, am1t)
-        return self._cache[key]
+        return a1t, a0t, am1t
 
+    @cache
     def alpha_tilde_parts(self) -> list[Matrix]:
         """The eight summands of ``2 w alpha~_{-1}`` on the tangential block."""
-        key = "alpha_tilde_parts"
-        if key in self._cache:
-            return self._cache[key]
         a1f, a0f, _ = self.alphas_full()
         a1t = self.w * self.Id_proj
         a0t = self.project(a0f)
         Bt, Cmat_t = self._riccati_coefficients(self.project(self.om[self.m - 1]))
         p0t = self.project(self.p0)
         a0_sq_proj = self.project(_mm(a0f, a0f))
-        parts = self._alpha_minus1_parts(a1t, a0t, a0_sq_proj, p0t, Bt, Cmat_t)
-        self._cache[key] = parts
-        return parts
+        return self._alpha_minus1_parts(a1t, a0t, a0_sq_proj, p0t, Bt, Cmat_t)
 
     # -- resolvent symbols -------------------------------------------------
+    @cache
     def resolvent(self) -> dict[str, Matrix]:
         """Resolvent symbols ``r_{-1}, r_{-2}, r_{-3}`` of the projected operator.
 
         Returns a dict with keys ``r1, r2, r3`` and the labelled pieces
         ``I, II, III, IV`` plus ``V1 .. V8`` whose sum is ``r3``.
         """
-        key = "resolvent"
-        if key in self._cache:
-            return self._cache[key]
         n = self.n_proj
         a1t, a0t, am1t = self.alphas_tilde()
         G = 1 / (self.mu - self.w)
@@ -423,9 +412,7 @@ class BoundaryChart:
         for k, P in enumerate(parts, start=1):
             pieces[f"V{k}"] = G * _mm((1 / (2 * self.w)) * P, r1)
         r3 = sum(pieces.values(), zeros(n, n))
-        out = {"r1": r1, "r2": r2, "r3": r3, **pieces}
-        self._cache[key] = out
-        return out
+        return {"r1": r1, "r2": r2, "r3": r3, **pieces}
 
     # -- boundary-point substitution table --------------------------------
     def dom_symbol(self, k: int, i: int, j: int, direction: int) -> Symbol:
@@ -435,13 +422,6 @@ class BoundaryChart:
         the normal direction.
         """
         return _jet(f"dom{k}_{i}_{j}_c{direction}")
-
-    @property
-    def conn_values(self) -> list[Matrix]:
-        key = "conn_values"
-        if key not in self._cache:
-            self._cache[key] = connection_matrices(self.m, self.q, self.kappas)
-        return self._cache[key]
 
     def _riem_Y(self, a, b, c, d) -> sp.Expr:
         """Boundary curvature ``R_{abcd}`` (0-based indices, sign so that
@@ -548,12 +528,8 @@ class BoundaryChart:
 
         raise JetResolutionError(f"unknown coefficient function: {fname}")
 
-    @property
-    def e_value_matrix(self) -> Matrix:
+    def _e_value_matrix(self) -> Matrix:
         """Value of the curvature endomorphism at the point, in curvature symbols."""
-        key = "e_value_matrix"
-        if key in self._cache:
-            return self._cache[key]
         m, q, n = self.m, self.q, self.n_full
         if q == 0:
             M = zeros(n, n)
@@ -574,7 +550,6 @@ class BoundaryChart:
                 [-c2113, -r22, c1332],
                 [c1223, c1332, -r11],
             ])
-        self._cache[key] = M
         return M
 
     def _must_cancel(self) -> frozenset[Symbol]:

@@ -143,6 +143,63 @@ class TestMain:
         assert main([command]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "PASS"
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("derive-a0", "a", "2"), ("derive-a0", "L", "3"), ("derive-a0", "geometry", "unit-ball"),
+        ("derive-a0", "file", "g.json"), ("derive-a0", "dps", "40"),
+        ("derive-terms", "a", "2"), ("derive-terms", "L", "3"),
+        ("derive-terms", "geometry", "unit-ball"), ("derive-terms", "file", "g.json"),
+        ("derive-terms", "dps", "40"),
+        ("verify-cylinder", "geometry", "unit-disk"), ("verify-cylinder", "file", "g.json"),
+        ("verify-zeta-zero", "geometry", "unit-disk"), ("verify-zeta-zero", "file", "g.json"),
+        ("geom-constants", "a", "2"), ("geom-constants", "L", "3"),
+        ("geom-constants", "dps", "40"),
+        ("conformal-check", "q", "1"), ("conformal-check", "a", "2"),
+        ("conformal-check", "L", "3"), ("conformal-check", "geometry", "unit-ball"),
+        ("conformal-check", "file", "g.json"), ("conformal-check", "dps", "40"),
+        ("specfun-selftest", "m", "3"), ("specfun-selftest", "q", "1"),
+        ("specfun-selftest", "a", "2"), ("specfun-selftest", "L", "3"),
+        ("specfun-selftest", "geometry", "unit-ball"), ("specfun-selftest", "file", "g.json"),
+    ])
+    def test_unread_option_exit_code(self, capsys, command, option, value):
+        # each option was accepted and ignored: conformal-check --q 1 printed
+        # the disk rows, specfun-selftest --m 3 its kernel rows
+        assert main([command, f"--{option}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: invalid-config: {command} does not read --{option}"]
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["derive-terms", "--m", "2"], "derive-terms models a 3-dimensional "
+                     "geometry, but dimension m = 2 was requested", id="derive-terms-m2"),
+        pytest.param(["geom-constants", "--geometry", "unit-disk", "--file", "g.json", "--m", "2"],
+                     "geom-constants does not read --geometry", id="geometry-with-file"),
+        pytest.param(["geom-constants", "--geometry", "cylinder", "--file", "g.json", "--a", "2"],
+                     "geom-constants does not read --a, --geometry", id="cylinder-with-file"),
+        pytest.param(["specfun-selftest", "--m", "3"], "specfun-selftest does not read --m",
+                     id="selftest-m3"),
+        pytest.param(["conformal-check", "--geometry", "unit-ball", "--q", "1"],
+                     "conformal-check does not read --q, --geometry", id="conformal-two-options"),
+    ])
+    def test_rejected_config_message(self, capsys, args, message):
+        # derive-terms --m 2 exited 4 from the pipeline; --file silently
+        # replaced --geometry, and the others ran
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: invalid-config: {message}"]
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["conformal-check", "--a", "1.0", "--q", "0"], id="conformal-defaults"),
+        pytest.param(["specfun-selftest", "--L", str(2 * math.pi)], id="selftest-default-L"),
+        pytest.param(["geom-constants", "--geometry", "cylinder", "--m", "2", "--a", "2",
+                      "--L", "3"], id="cylinder-a-L"),
+    ])
+    def test_read_or_default_option_accepted(self, capsys, args):
+        # an explicit default counts as not given; the cylinder reads a and L
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+
     @pytest.mark.parametrize("source", ["built-in", "file"])
     def test_dimension_mismatch_exit_code(self, tmp_path, capsys, source):
         # the dim-3 constants were reported under the requested m = 2
@@ -187,23 +244,31 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith(
             f"error: schema-or-range: geometry field {field!r} must be ")
 
-    @pytest.mark.parametrize("field, make", [
-        pytest.param("nodes", lambda g: {**g, "nodes": 5}, id="nodes-number"),
-        pytest.param("nodes", lambda g: {**g, "nodes": [5]}, id="node-number"),
-        pytest.param("kappa", lambda g: {**g, "nodes": [{**g["nodes"][0], "kappa": 1.0}]},
+    @pytest.mark.parametrize("head, make", [
+        pytest.param("geometry field 'nodes' must be ", lambda g: {**g, "nodes": 5},
+                     id="nodes-number"),
+        pytest.param("geometry field 'nodes' must be ", lambda g: {**g, "nodes": [5]},
+                     id="node-number"),
+        pytest.param("geometry field 'kappa' must be ",
+                     lambda g: {**g, "nodes": [{**g["nodes"][0], "kappa": 1.0}]},
                      id="kappa-number"),
-        pytest.param(None, lambda g: [1, 2], id="payload-list"),
+        pytest.param("a geometry file must hold a JSON object", lambda g: [1, 2],
+                     id="payload-list"),
+        pytest.param("unknown geometry key 'tauM', expected one of w, kappa, tau_M, tau_Y",
+                     lambda g: {**g, "nodes": [{**n, "tauM": 6.0} for n in g["nodes"]]},
+                     id="node-key-misspelt"),
+        pytest.param("unknown geometry key 'lable', expected one of m, nodes, V, ellY, label",
+                     lambda g: {**g, "lable": "disk"}, id="top-key-misspelt"),
     ])
-    def test_invalid_geometry_shape_exit_code(self, tmp_path, capsys, field, make):
-        # each of these ended in a TypeError traceback
+    def test_invalid_geometry_shape_exit_code(self, tmp_path, capsys, head, make):
+        # the first four ended in a TypeError traceback; a misspelt key was
+        # dropped, so a node's "tauM" ran with tau_M = 0 and PASSed
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(make(json.loads(geom.unit_disk().to_json()))))
         assert main(["geom-constants", "--m", "2", "--file", str(path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
-        head = (f"geometry field {field!r} must be " if field
-                else "a geometry file must hold a JSON object")
         assert len(err) == 1 and err[0].startswith(f"error: schema-or-range: {head}")
 
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])

@@ -16,6 +16,11 @@ heuristic simplifier, ``simplify`` or ``gammasimp``, appears in the package,
 and deriving a density does not import ``sympy.physics.units`` (which
 ``simplify`` loads).  The Gamma normal form ``_gamma_classes`` is referred to
 only inside ``sfunc.py``; other modules use ``exact_zero`` and ``rationalize``.
+
+No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
+attribute of the chart or to an item inside one: a chart is shared through
+the cached ``chart(m, q)``, and its stage methods are memoized with
+``functools.cache`` instead of writing into the instance.
 """
 
 import ast
@@ -166,6 +171,43 @@ def test_gamma_normal_form_has_one_home():
         if "_gamma_classes" in names:
             homes.add(path.name)
     assert homes == {"sfunc.py"}
+
+
+def _written_self_attr(target):
+    """``attr`` when an assignment to ``target`` writes ``self.attr`` or an item
+    or attribute inside it, else None."""
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+            return target.attr
+        target = target.value
+    return None
+
+
+def _assigned(node):
+    """Every target an assignment statement writes, tuples unpacked."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        else:
+            yield target
+
+
+def test_boundary_chart_state_set_only_in_init():
+    # charts are shared through the cached chart(m, q): a method that writes
+    # to self would hide mutable state inside a cached object
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "symbolcas.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "BoundaryChart")
+    writes = [f"{method.name}:{node.lineno} self.{attr}"
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+              for node in ast.walk(method)
+              if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+              for attr in map(_written_self_attr, _assigned(node)) if attr]
+    assert not writes, writes
 
 
 def test_density_derivation_imports_no_units():
