@@ -13,9 +13,11 @@ stable descriptive identifiers of the derived quantity (e.g.
 
 One table, ``_COMMANDS``, says for each command its pipeline, the dimensions
 it models (``--m`` defaults to the last) and the options it reads; every
-command reads ``--output``.  An option counts as given when it differs from
-its default, and a given option the command does not read is rejected with
-exit 2 (``invalid-config``), so an explicit default value passes.
+command reads ``--output``.  Without ``--m``, ``geom-constants`` takes the
+dimension of its geometry: the built-in's, or the ``m`` of the ``--file``.  An
+option counts as given when it differs from its default, and a given option
+the command does not read is rejected with exit 2 (``invalid-config``), so an
+explicit default value passes.
 ``geom-constants`` reads ``--a`` and ``--L`` only with ``--geometry cylinder``,
 and no ``--geometry`` with ``--file``.
 """
@@ -28,7 +30,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import mpmath as mp
 import sympy as sp
@@ -39,7 +41,8 @@ __all__ = ["RunConfig", "run", "main"]
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters of one CLI invocation; ``m`` defaults to the last
-    dimension the command models."""
+    dimension the command models, or to that of a named built-in geometry.
+    With a geometry file and no ``m``, ``m`` stays None until the file is read."""
 
     command: str
     m: int | None = None
@@ -65,12 +68,12 @@ class RunConfig:
             raise ValueError(f"{self.command} does not read {', '.join(unread)}")
         if self.dps < 15:
             raise ValueError("precision must be at least 15 digits")
-        if self.m is None:
-            object.__setattr__(self, "m", dims[-1])
-        if self.m not in dims:
+        if self.m is None and not self.file:
+            object.__setattr__(self, "m", _GEOMETRY_DIMS.get(self.geometry, dims[-1]))
+        if self.m is not None and self.m not in dims:
             raise ValueError(f"{self.command} models a {'- or '.join(map(str, dims))}"
                              f"-dimensional geometry, but dimension m = {self.m} was requested")
-        if not 0 <= self.q <= self.m - 1:
+        if self.m is not None and not 0 <= self.q <= self.m - 1:
             raise ValueError(f"degree {self.q} out of range for dimension {self.m}")
         if not (math.isfinite(self.a) and math.isfinite(self.L)):
             raise ValueError("cylinder parameters must be finite")
@@ -181,7 +184,7 @@ def _load_geometry(cfg: RunConfig):
         if name not in builders:
             raise ValueError(f"unknown geometry {name!r}")
         geom = builders[name]()
-    if geom.m != cfg.m:
+    if cfg.m not in (None, geom.m):
         raise ValueError(f"geometry {geom.label!r} has dimension {geom.m}, "
                          f"but dimension m = {cfg.m} was requested")
     return geom
@@ -200,6 +203,7 @@ _GOLDEN_CONSTANTS = {
 def _run_geom_constants(cfg: RunConfig) -> list[dict]:
     from .geom import a0_constant, zeta0_constant
     geom = _load_geometry(cfg)
+    cfg = replace(cfg, m=geom.m)  # a file read without --m: check --q against its m
     a0 = a0_constant(geom, cfg.q)
     z0 = zeta0_constant(geom, cfg.q)
     rows = [
@@ -271,6 +275,8 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
     return rows
 
 
+# built-in geometry -> its dimension, the --m of geom-constants without one
+_GEOMETRY_DIMS = {"unit-disk": 2, "unit-ball": 3, "cylinder": 2}
 # command -> (pipeline, the dimensions it models, the options it reads besides --output)
 _Command = namedtuple("_Command", "pipeline dims reads")
 _CYLINDER = frozenset({"m", "q", "a", "L", "dps"})
@@ -304,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dims = "; ".join(f"{c}: {' or '.join(map(str, d))}" for c, (_, d, r) in _COMMANDS.items()
                      if "m" in r)
     parser.add_argument("--m", type=int, default=None,
-                        help=f"interior dimension ({dims}; default the last listed)")
+                        help=f"interior dimension ({dims}; default the last listed, "
+                             "for geom-constants the geometry's)")
     parser.add_argument("--q", type=int, default=0, help="form degree")
     parser.add_argument("--a", type=float, default=1.0, help="cylinder length")
     parser.add_argument("--L", type=float, default=2 * math.pi,

@@ -14,8 +14,10 @@ expansion is turned into a spectral density:
   ``DomainError``.
 * ``exact_zero`` / ``rationalize`` -- the exact zero test and the one rational
   form: each ``Gamma(a*s + b)`` becomes one representative per Gamma class times
-  a rational factor (the package's only Gamma normalization); then an expanded
-  numerator decides zero, or the classes cancel to one fraction in ``s``.
+  a rational factor (the package's only Gamma normalization), and the normal
+  form becomes one element of a sparse rational-function field over QQ
+  (``_field``, built without ``expand``).  That element decides zero, and,
+  once the classes cancel, it is the one fraction in ``s``.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
@@ -30,10 +32,11 @@ expansion is turned into a spectral density:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath as mp
 import sympy as sp
+from sympy.polys.polyerrors import CoercionFailed
 
 __all__ = [
     "S",
@@ -91,30 +94,118 @@ def exact_zero(expr) -> bool:
     ``Gamma(a*s + b)`` with ``a > 0`` and ``b`` rational; its ``s``-free part
     may hold any constants (``pi``, ``log(2)``, ``EulerGamma``, ...) and
     symbols.  Each factor is written as its class representative times a
-    rising factorial in ``s`` (see ``_gamma_classes``), the representatives
-    become independent symbols, and ``expr`` is zero when the
-    expanded numerator of its ``together`` form is.  A True verdict is exact,
-    since it holds for any value of the symbols; a relation among the
-    constants or the representatives that this form does not apply could
-    only turn a zero into a False, never the reverse.
+    rising factorial in ``s`` (see ``_gamma_classes``), and ``expr`` is zero
+    when its element of the rational-function field of ``_field`` is, where
+    the representatives and the constants are independent generators.  A
+    True verdict is exact, since it holds for any value of the generators; a
+    relation among the constants or the representatives that this form does
+    not apply could only turn a zero into a False, never the reverse.
 
     Raises ``ValueError`` on any other ``s``-dependent atom, such as
     ``2**(-s)``, ``gamma(s**2)`` or ``polygamma(0, s)``.
     """
-    expr, _ = _gamma_classes(sp.sympify(expr))
-    if not expr.is_rational_function(S):
-        raise ValueError("no exact zero test: not a rational function of s and Gamma(a*s + b)")
-    return sp.expand(sp.numer(sp.together(expr))) == 0
+    return not _field(expr)[0]
 
 
 def rationalize(expr) -> sp.Expr:
     """One fraction of polynomials in ``s`` equal to ``expr``, a rational
-    function of ``s`` and of Gamma factors whose classes must cancel."""
-    normal, classes = _gamma_classes(expr)
-    out = sp.cancel(sp.together(normal))
+    function of ``s`` and of Gamma factors whose classes must cancel: the
+    field element of ``_field``, numerator over denominator, both free of
+    common factors."""
+    element, classes = _field(expr)
+    out = element.as_expr()
     if out.free_symbols & classes.keys():
         raise ValueError(f"Gamma factors do not cancel in {expr}")
     return out
+
+
+def _field(expr):
+    """``expr`` in the Gamma normal form of ``_gamma_classes``, as an element
+    of the sparse rational-function field ``FracField(generators, QQ)``;
+    returns it and ``{representative: x}``.
+
+    The generators are the free symbols, the class representatives and the
+    constant atoms (``pi``, ``log(2)``, ...); ``log`` of a rational is first
+    split over primes.  An atom ``b`` that also occurs as ``b**(p/q)`` enters
+    through the one generator ``t = b**(1/L)``, with ``L`` the least common
+    denominator of its exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a
+    rational ``b`` the relation ``t**L = b`` is applied too.  The expression
+    tree is rebuilt as one numerator over one denominator in the polynomial
+    ring, summing the terms over equal denominators first, and the field
+    cancels that fraction once.  Nothing is expanded as a sympy expression.
+
+    Raises ``ValueError`` on any other ``s``-dependent atom, on an infinity
+    and on a division by zero.
+    """
+    from sympy.polys.fields import FracField
+
+    normal, classes = _gamma_classes(sp.sympify(expr))
+    roots: dict[sp.Expr, int] = {}  # generator atom -> common denominator L
+    split: dict[sp.log, sp.Expr] = {}  # log of a rational -> its sum over primes
+
+    def collect(e):
+        if e.is_Number:
+            return
+        if e.is_Add or e.is_Mul:
+            for arg in e.args:
+                collect(arg)
+        elif e.is_Pow and e.exp.is_Rational and not (e.base.is_Add or e.base.is_Mul):
+            roots[e.base] = sp.ilcm(roots.get(e.base, 1), e.exp.q)
+        elif e.is_Pow and e.exp.is_Integer:
+            collect(e.base)
+        elif isinstance(e, sp.log) and e.args[0].is_Rational and not e.args[0].is_prime:
+            split[e] = sp.Add(*(k * sp.log(p) for p, k in sp.factorrat(e.args[0]).items()))
+            collect(split[e])
+        else:
+            roots.setdefault(e, 1)
+
+    collect(normal)
+    for atom, L in roots.items():
+        if atom.has(S) and (atom is not S or L > 1) or atom.is_finite is False:
+            raise ValueError(f"no exact zero test: {atom} is not a rational function "
+                             "of s and Gamma(a*s + b)")
+    atoms = sorted(roots, key=sp.default_sort_key)
+    field = FracField([a ** sp.Rational(1, roots[a]) for a in atoms], sp.QQ)
+    ring = field.ring
+    gens = dict(zip(atoms, ring.gens))
+
+    def power(frac, k):
+        numer, denom = frac
+        if k >= 0:
+            return numer ** k, denom ** k
+        if not numer:
+            raise ValueError(f"no exact zero test: division by zero in {expr}")
+        return denom ** -k, numer ** -k
+
+    def rebuild(e):
+        """``e`` as a numerator and a denominator, not yet cancelled."""
+        if e.is_Number:
+            try:
+                return ring.ground_new(ring.domain.from_sympy(e)), ring.one
+            except CoercionFailed:
+                raise ValueError(f"no exact zero test: {e} is not a finite number") from None
+        if e.is_Add:
+            over = {}  # the terms over each denominator are summed first
+            for numer, denom in map(rebuild, e.args):
+                over[denom] = over.get(denom, ring.zero) + numer
+            return reduce(lambda f, g: (f[0] * g[1] + g[0] * f[1], f[1] * g[1]),
+                          ((numer, denom) for denom, numer in over.items()))
+        if e.is_Mul:
+            return reduce(lambda f, g: (f[0] * g[0], f[1] * g[1]), map(rebuild, e.args))
+        if e in split:
+            return rebuild(split[e])
+        if e in gens:
+            return gens[e] ** roots[e], ring.one
+        if e.base in gens:
+            return power((gens[e.base], ring.one), int(e.exp * roots[e.base]))
+        return power(rebuild(e.base), int(e.exp))
+
+    # the generator t = b**(1/L) of a rational b is algebraic: t**L = b
+    relations = [gens[b] ** L - b for b, L in roots.items() if b.is_Rational]
+    numer, denom = (p.rem(relations) for p in rebuild(normal))
+    if not denom:
+        raise ValueError(f"no exact zero test: division by zero in {expr}")
+    return field.new(numer, denom), classes
 
 
 def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
@@ -134,13 +225,13 @@ def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
         arg = g.args[0]
         if not arg.has(S):
             continue
-        a = sp.diff(arg, S)
-        b = sp.expand(arg - a * S)
+        b, slope = arg.as_independent(S, as_Add=True)
+        a = slope / S
         if not (a.is_Rational and a > 0 and b.is_Rational):
             raise ValueError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
         n = -(-b.p // b.q) - 1
         x = a * S + b - n
-        normal[g] = classes.setdefault(x, sp.Dummy(f"Gamma({x})")) * sp.rf(x, n)
+        normal[g] = classes.setdefault(x, sp.Dummy("Gamma")) * sp.rf(x, n)
     return expr.xreplace(normal), {rep: x for x, rep in classes.items()}
 
 

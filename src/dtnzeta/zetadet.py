@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .sfunc import riemann_zeta, zeta_deriv_at
 from .spectra import DtnProductSpectrum, PowerSpectrum, ProductSpectrum
@@ -105,6 +104,8 @@ def interval_mode_sum(s: int, t):
     Raises ``ValueError`` for ``t < 1``, where the polynomial cancels
     catastrophically (relative error 1e-4 at ``t = 1e-4``).
     """
+    import numpy as np  # imported on first use: `import dtnzeta` loads no numpy
+
     kernel = _INTERVAL_KERNELS.get(s)
     if kernel is None:
         raise ValueError(f"closed interval-mode sum implemented for s in 2, 3, not {s!r}")
@@ -140,6 +141,8 @@ def _lattice_sum(s: int, alpha: float, beta: float, zeta_odd: float,
     (Chowla & Selberg, PNAS 35, 1949).  ``zeta_odd``/``zeta_even`` are
     ``zeta(2s-1)``/``zeta(2s)``.
     """
+    import numpy as np
+
     g = min(alpha, beta)
     r = max(alpha, beta) / g
     c_s = math.sqrt(math.pi) * math.gamma(s - 0.5) / (2 * math.gamma(s))

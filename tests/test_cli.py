@@ -32,6 +32,14 @@ class TestRunConfig:
     def test_dimension_defaults_to_command(self, command, m):
         assert RunConfig(command=command).m == m
 
+    @pytest.mark.parametrize("geometry, m", [("unit-disk", 2), ("cylinder", 2),
+                                             ("unit-ball", 3)])
+    def test_dimension_defaults_to_geometry(self, geometry, m):
+        assert RunConfig(command="geom-constants", geometry=geometry).m == m
+
+    def test_file_dimension_read_later(self):
+        assert RunConfig(command="geom-constants", file="g.json").m is None
+
 
 class TestReports:
     def test_canonical_round_trip(self):
@@ -215,6 +223,44 @@ class TestMain:
         assert captured.err.splitlines() == [
             "error: schema-or-range: geometry 'unit-ball' has dimension 3, "
             "but dimension m = 2 was requested"]
+
+    @staticmethod
+    def _geometry_args(tmp_path, source):
+        if source != "file":
+            return ["--geometry", source]
+        path = tmp_path / "geometry.json"
+        path.write_text(geom.unit_disk().to_json())
+        return ["--file", str(path)]
+
+    @pytest.mark.parametrize("source", ["cylinder", "unit-disk", "file"])
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_geometry_sets_dimension(self, tmp_path, capsys, source, q):
+        # without --m the dimension was 3, so each of these exited 4 with
+        # "has dimension 2, but dimension m = 3 was requested"
+        args = ["geom-constants", *self._geometry_args(tmp_path, source), "--q", q]
+        assert main(args) == 0
+        report = capsys.readouterr().out
+        assert main([*args, "--m", "2"]) == 0
+        assert capsys.readouterr().out == report
+
+    @pytest.mark.parametrize("source", ["cylinder", "unit-disk", "file"])
+    def test_geometry_dimension_mismatch_exit_code(self, tmp_path, capsys, source):
+        args = ["geom-constants", *self._geometry_args(tmp_path, source), "--m", "3"]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: schema-or-range: geometry '")
+        assert line.endswith("' has dimension 2, but dimension m = 3 was requested")
+
+    def test_file_dimension_bounds_degree(self, tmp_path, capsys):
+        # the degree is checked against the file's dimension once it is read
+        args = ["geom-constants", *self._geometry_args(tmp_path, "file"), "--q", "2"]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: schema-or-range: degree 2 out of range for dimension 2"]
 
     @pytest.mark.parametrize("field, edit", [
         pytest.param("m", lambda g: g.update(m=2.0), id="m-float"),

@@ -16,6 +16,7 @@ from dtnzeta.sfunc import (
     exact_zero,
     gamma_ratio_at_zero,
     mu_residue,
+    rationalize,
     riemann_zeta,
     xi_moment,
     zeta_deriv_at,
@@ -295,8 +296,57 @@ class TestExactZero:
 
     @pytest.mark.parametrize("expr", [
         2 ** (-S), sp.gamma(S ** 2), sp.polygamma(0, S), sp.gamma(1 - S), sp.gamma(sp.sqrt(2) * S),
-        sp.sqrt(S), sp.log(S),
+        sp.sqrt(S), sp.log(S), sp.zoo * S, sp.nan * S, sp.sqrt(S ** 2 + 1), sp.exp(S),
     ])
     def test_unsupported_atom_raises(self, expr):
+        # a ValueError, not the CoercionFailed of sympy's polynomial layer
         with pytest.raises(ValueError):
             exact_zero(expr)
+
+    # zeros that need a relation among the constants or the Gamma classes: a
+    # log of a composite, powers of one root (pi = sqrt(pi)**2, pi**(3/2) =
+    # sqrt(pi)**3), a root of a rational (sqrt(2)**2 = 2, cbrt(2)**3 = 2) and a
+    # Gamma shift
+    RELATION_ZEROS = [
+        sp.log(4) * S - 2 * sp.log(2) * S,
+        sp.log(12) - 2 * sp.log(2) - sp.log(3),
+        sp.log(sp.Rational(3, 2)) + sp.log(2) - sp.log(3),
+        (sp.sqrt(sp.pi) + 1) ** 2 - sp.pi - 2 * sp.sqrt(sp.pi) - 1,
+        sp.pi ** sp.Rational(3, 2) / sp.sqrt(sp.pi) - sp.pi,
+        sp.pi ** sp.Rational(3, 2) * (1 + sp.sqrt(sp.pi)) - sp.pi ** 2 - sp.pi * sp.sqrt(sp.pi),
+        (S ** 2 - sp.pi) / (S - sp.sqrt(sp.pi)) - S - sp.sqrt(sp.pi),
+        (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2),
+        1 / (1 + sp.sqrt(2)) - sp.sqrt(2) + 1,
+        (sp.cbrt(2) + 1) ** 3 - 3 - 3 * sp.cbrt(2) - 3 * sp.cbrt(2) ** 2,
+        sp.gamma(S / 2 + sp.Rational(3, 2)) - (S / 2 + sp.Rational(1, 2)) * sp.gamma(S / 2 + sp.Rational(1, 2)),
+    ]
+
+    @pytest.mark.parametrize("expr", RELATION_ZEROS)
+    def test_relation_zeros(self, expr):
+        assert exact_zero(expr)
+        # negative control: a perturbation far below any float precision
+        assert not exact_zero(expr + S * sp.pi / sp.Integer(10) ** 30)
+
+    def test_division_by_zero_raises(self):
+        for zero in (sp.log(4) - 2 * sp.log(2), (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2)):
+            with pytest.raises(ValueError, match="division by zero"):
+                exact_zero(S / zero)
+
+
+class TestRationalize:
+    def test_one_form_for_equal_inputs(self):
+        # differently written equal inputs give the same string
+        forms = [1 / (S + 1) + 1 / (S + 2),
+                 (2 * S + 3) / ((S + 1) * (S + 2)),
+                 (4 * S + 6) / (2 * S ** 2 + 6 * S + 4),
+                 sp.gamma(S + 3) * (2 * S + 3) / (sp.gamma(S + 1) * (S + 1) ** 2 * (S + 2) ** 2)]
+        assert {str(rationalize(f)) for f in forms} == {"(2*s + 3)/(s**2 + 3*s + 2)"}
+
+    def test_constants_and_roots(self):
+        assert str(rationalize(sp.gamma(S / 2 + 1) / (sp.pi * (S + 2) * sp.gamma(S / 2)))) == (
+            "s/(2*pi*s + 4*pi)")
+        assert rationalize(sp.sqrt(sp.pi) ** 3 / (sp.pi * S)) == sp.sqrt(sp.pi) / S
+
+    def test_classes_must_cancel(self):
+        with pytest.raises(ValueError, match="do not cancel"):
+            rationalize(sp.gamma(S / 2) / sp.gamma(S))

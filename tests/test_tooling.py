@@ -14,8 +14,11 @@ Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 branch in the package, and no test keeps its own ``_exact_zero``.  Neither
 heuristic simplifier, ``simplify`` or ``gammasimp``, appears in the package,
 and deriving a density does not import ``sympy.physics.units`` (which
-``simplify`` loads).  The Gamma normal form ``_gamma_classes`` is referred to
-only inside ``sfunc.py``; other modules use ``exact_zero`` and ``rationalize``.
+``simplify`` loads); importing the CLI does not import numpy.  The Gamma
+normal form ``_gamma_classes`` is referred to only inside ``sfunc.py``; other
+modules use ``exact_zero`` and ``rationalize``.  Both go through the one
+sparse rational-function field built in ``sfunc._field``; ``sfunc.py`` refers
+to neither ``together`` nor ``cancel``.
 
 No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
@@ -149,6 +152,8 @@ def _references(node, function=None):
             inner = child.name
         elif isinstance(child, (ast.Name, ast.Attribute)):
             yield getattr(child, "attr", getattr(child, "id", None)), function
+        elif isinstance(child, ast.alias):
+            yield child.name.rsplit(".", 1)[-1], function
         yield from _references(child, inner)
 
 
@@ -171,6 +176,21 @@ def test_gamma_normal_form_has_one_home():
         if "_gamma_classes" in names:
             homes.add(path.name)
     assert homes == {"sfunc.py"}
+
+
+def test_rational_field_has_one_home():
+    # every exact zero and every rational form goes through the one sparse
+    # field of sfunc._field: no other function builds a FracField, and sfunc
+    # keeps no Expr-level rational normalization (together/cancel)
+    homes = set()
+    for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
+        for name, function in _references(ast.parse(path.read_text())):
+            if name == "FracField":
+                homes.add((path.name, function))
+    assert homes == {("sfunc.py", "_field")}
+    sfunc_names = {name for name, _ in
+                   _references(ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text()))}
+    assert not sfunc_names & {"together", "cancel"}
 
 
 def _written_self_attr(target):
@@ -219,3 +239,17 @@ def test_density_derivation_imports_no_units():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is imported where a numeric kernel first needs it, so the
+    # derivations never load it; a cylinder check does
+    code = ("import sys\n"
+            "from dtnzeta.cli import RunConfig, run\n"
+            "print('numpy' in sys.modules)\n"
+            "run(RunConfig(command='verify-cylinder'))\n"
+            "print('numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
