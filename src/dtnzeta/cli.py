@@ -41,8 +41,8 @@ __all__ = ["RunConfig", "run", "main"]
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters of one CLI invocation; ``m`` defaults to the last
-    dimension the command models, or to that of a named built-in geometry.
-    With a geometry file and no ``m``, ``m`` stays None until the file is read."""
+    dimension the command models.  With a ``geometry`` or a ``file`` and no
+    ``m``, ``m`` stays None until the geometry is loaded."""
 
     command: str
     m: int | None = None
@@ -68,8 +68,8 @@ class RunConfig:
             raise ValueError(f"{self.command} does not read {', '.join(unread)}")
         if self.dps < 15:
             raise ValueError("precision must be at least 15 digits")
-        if self.m is None and not self.file:
-            object.__setattr__(self, "m", _GEOMETRY_DIMS.get(self.geometry, dims[-1]))
+        if self.m is None and not (self.file or self.geometry):
+            object.__setattr__(self, "m", dims[-1])
         if self.m is not None and self.m not in dims:
             raise ValueError(f"{self.command} models a {'- or '.join(map(str, dims))}"
                              f"-dimensional geometry, but dimension m = {self.m} was requested")
@@ -203,7 +203,7 @@ _GOLDEN_CONSTANTS = {
 def _run_geom_constants(cfg: RunConfig) -> list[dict]:
     from .geom import a0_constant, zeta0_constant
     geom = _load_geometry(cfg)
-    cfg = replace(cfg, m=geom.m)  # a file read without --m: check --q against its m
+    cfg = replace(cfg, m=geom.m)  # a geometry loaded without --m: check --q against its m
     a0 = a0_constant(geom, cfg.q)
     z0 = zeta0_constant(geom, cfg.q)
     rows = [
@@ -275,8 +275,6 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-# built-in geometry -> its dimension, the --m of geom-constants without one
-_GEOMETRY_DIMS = {"unit-disk": 2, "unit-ball": 3, "cylinder": 2}
 # command -> (pipeline, the dimensions it models, the options it reads besides --output)
 _Command = namedtuple("_Command", "pipeline dims reads")
 _CYLINDER = frozenset({"m", "q", "a", "L", "dps"})

@@ -36,7 +36,6 @@ from functools import lru_cache, reduce
 
 import mpmath as mp
 import sympy as sp
-from sympy.polys.polyerrors import CoercionFailed
 
 __all__ = [
     "S",
@@ -129,10 +128,11 @@ def _field(expr):
     split over primes.  An atom ``b`` that also occurs as ``b**(p/q)`` enters
     through the one generator ``t = b**(1/L)``, with ``L`` the least common
     denominator of its exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a
-    rational ``b`` the relation ``t**L = b`` is applied too.  The expression
-    tree is rebuilt as one numerator over one denominator in the polynomial
-    ring, summing the terms over equal denominators first, and the field
-    cancels that fraction once.  Nothing is expanded as a sympy expression.
+    rational ``b`` the relation ``t**L = b`` is applied too, and for ``I`` the
+    relation ``t**(2L) = -1``.  The expression tree is rebuilt as one
+    numerator over one denominator in the polynomial ring, summing the terms
+    over equal denominators first, and the field cancels that fraction once.
+    Nothing is expanded as a sympy expression.
 
     Raises ``ValueError`` on any other ``s``-dependent atom, on an infinity
     and on a division by zero.
@@ -144,15 +144,17 @@ def _field(expr):
     split: dict[sp.log, sp.Expr] = {}  # log of a rational -> its sum over primes
 
     def collect(e):
+        if e.is_Number and not e.is_finite:
+            raise ValueError(f"no exact zero test: {e} is not a finite number")
         if e.is_Number:
             return
         if e.is_Add or e.is_Mul:
             for arg in e.args:
                 collect(arg)
-        elif e.is_Pow and e.exp.is_Rational and not (e.base.is_Add or e.base.is_Mul):
-            roots[e.base] = sp.ilcm(roots.get(e.base, 1), e.exp.q)
         elif e.is_Pow and e.exp.is_Integer:
             collect(e.base)
+        elif e.is_Pow and e.exp.is_Rational and not (e.base.is_Add or e.base.is_Mul):
+            roots[e.base] = sp.ilcm(roots.get(e.base, 1), e.exp.q)
         elif isinstance(e, sp.log) and e.args[0].is_Rational and not e.args[0].is_prime:
             split[e] = sp.Add(*(k * sp.log(p) for p, k in sp.factorrat(e.args[0]).items()))
             collect(split[e])
@@ -170,20 +172,15 @@ def _field(expr):
     gens = dict(zip(atoms, ring.gens))
 
     def power(frac, k):
-        numer, denom = frac
-        if k >= 0:
-            return numer ** k, denom ** k
-        if not numer:
+        if k < 0 and not all(frac):
             raise ValueError(f"no exact zero test: division by zero in {expr}")
-        return denom ** -k, numer ** -k
+        numer, denom = frac if k >= 0 else frac[::-1]
+        return numer ** abs(k), denom ** abs(k)
 
     def rebuild(e):
         """``e`` as a numerator and a denominator, not yet cancelled."""
         if e.is_Number:
-            try:
-                return ring.ground_new(ring.domain.from_sympy(e)), ring.one
-            except CoercionFailed:
-                raise ValueError(f"no exact zero test: {e} is not a finite number") from None
+            return ring.ground_new(e), ring.one
         if e.is_Add:
             over = {}  # the terms over each denominator are summed first
             for numer, denom in map(rebuild, e.args):
@@ -200,8 +197,9 @@ def _field(expr):
             return power((gens[e.base], ring.one), int(e.exp * roots[e.base]))
         return power(rebuild(e.base), int(e.exp))
 
-    # the generator t = b**(1/L) of a rational b is algebraic: t**L = b
-    relations = [gens[b] ** L - b for b, L in roots.items() if b.is_Rational]
+    # the generator t = b**(1/L) is algebraic for a rational b (t**L = b) and for I
+    relations = [gens[b] ** L - b if b.is_Rational else gens[b] ** (2 * L) + 1
+                 for b, L in roots.items() if b.is_Rational or b is sp.I]
     numer, denom = (p.rem(relations) for p in rebuild(normal))
     if not denom:
         raise ValueError(f"no exact zero test: division by zero in {expr}")

@@ -32,13 +32,11 @@ class TestRunConfig:
     def test_dimension_defaults_to_command(self, command, m):
         assert RunConfig(command=command).m == m
 
-    @pytest.mark.parametrize("geometry, m", [("unit-disk", 2), ("cylinder", 2),
-                                             ("unit-ball", 3)])
-    def test_dimension_defaults_to_geometry(self, geometry, m):
-        assert RunConfig(command="geom-constants", geometry=geometry).m == m
-
-    def test_file_dimension_read_later(self):
-        assert RunConfig(command="geom-constants", file="g.json").m is None
+    @pytest.mark.parametrize("source", [{"geometry": "cylinder"}, {"geometry": "unit-ball"},
+                                        {"file": "g.json"}], ids=["cylinder", "unit-ball", "file"])
+    def test_geometry_dimension_read_later(self, source):
+        # the loaded geometry sets m, for a built-in as for a file
+        assert RunConfig(command="geom-constants", **source).m is None
 
 
 class TestReports:
@@ -253,9 +251,10 @@ class TestMain:
         assert line.startswith("error: schema-or-range: geometry '")
         assert line.endswith("' has dimension 2, but dimension m = 3 was requested")
 
-    def test_file_dimension_bounds_degree(self, tmp_path, capsys):
-        # the degree is checked against the file's dimension once it is read
-        args = ["geom-constants", *self._geometry_args(tmp_path, "file"), "--q", "2"]
+    @pytest.mark.parametrize("source", ["cylinder", "unit-disk", "file"])
+    def test_geometry_dimension_bounds_degree(self, tmp_path, capsys, source):
+        # the degree is checked against the geometry's dimension once it is loaded
+        args = ["geom-constants", *self._geometry_args(tmp_path, source), "--q", "2"]
         assert main(args) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -319,6 +319,12 @@ class TestExactZero:
         1 / (1 + sp.sqrt(2)) - sp.sqrt(2) + 1,
         (sp.cbrt(2) + 1) ** 3 - 3 - 3 * sp.cbrt(2) - 3 * sp.cbrt(2) ** 2,
         sp.gamma(S / 2 + sp.Rational(3, 2)) - (S / 2 + sp.Rational(1, 2)) * sp.gamma(S / 2 + sp.Rational(1, 2)),
+        # a log of a composite under an integer power is split over primes too
+        1 / sp.log(4) - 1 / (2 * sp.log(2)),
+        sp.log(4) ** 2 - 4 * sp.log(2) ** 2,
+        # I is a root of t**2 + 1, sqrt(I) of t**4 + 1
+        (1 + sp.I) * (1 - sp.I) - 2,
+        sp.sqrt(sp.I) * (sp.sqrt(sp.I) + 1) - sp.I - sp.sqrt(sp.I),
     ]
 
     @pytest.mark.parametrize("expr", RELATION_ZEROS)
@@ -328,9 +334,13 @@ class TestExactZero:
         assert not exact_zero(expr + S * sp.pi / sp.Integer(10) ** 30)
 
     def test_division_by_zero_raises(self):
-        for zero in (sp.log(4) - 2 * sp.log(2), (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2)):
+        for zero in (sp.log(4) - 2 * sp.log(2), (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2),
+                     sp.log(4) ** 2 - 4 * sp.log(2) ** 2):
             with pytest.raises(ValueError, match="division by zero"):
                 exact_zero(S / zero)
+        # inverting a fraction whose denominator is zero is caught too
+        with pytest.raises(ValueError, match="division by zero"):
+            exact_zero(S / (1 + 1 / (sp.log(4) - 2 * sp.log(2))))
 
 
 class TestRationalize:
