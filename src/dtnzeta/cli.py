@@ -242,8 +242,8 @@ def _run_conformal_check(cfg: RunConfig) -> list[dict]:
 
 
 def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
-    from .sfunc import (S, exact_zero, gamma_ratio_at_zero, riemann_zeta, xi_moment,
-                        zeta_deriv_at)
+    from .sfunc import (S, exact_zero, gamma_ratio_at_zero, rationalize, riemann_zeta,
+                        xi_moment, zeta_deriv_at)
     rows = []
     with mp.workdps(cfg.dps + 10):
         for s0, ref in ((2, mp.pi ** 2 / 6), (0, mp.mpf(-1) / 2), (-1, mp.mpf(-1) / 12)):
@@ -270,7 +270,7 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
         got = xi_moment(2, exps, p)
         ok = exact_zero(got - ref)
         rows.append(_row(f"momentum-integral-xi{exps[0]}{exps[1]}-p({p})",
-                         "specfun.momentum-table", expression=str(sp.cancel(got)),
+                         "specfun.momentum-table", expression=str(rationalize(got)),
                          status="PASS" if ok else "FAIL"))
     return rows
 

@@ -3,15 +3,10 @@
 This module provides the exact scalar ingredients used when a boundary symbol
 expansion is turned into a spectral density:
 
-* ``SFunction`` -- a thin wrapper around a sympy expression in the complex
-  variable ``s`` built from rational functions, exponential scalings ``c**(-s)``
-  and Gamma-function ratios.  It gives the exact value and derivative at a
-  point, unsimplified.  The point values come from the jet of a sum
-  ``sum_i c_i f_i(s)``: the terms are grouped by their few distinct
-  ``s``-factors ``f_i``, and each factor's Laurent coefficients are computed
-  once per point (``subs``/``diff`` of its Gamma normal form; ``series`` only
-  at a pole).  A pole part that does not cancel, or a branch point, raises
-  ``DomainError``.
+* ``SFunction`` -- a sum of Gamma-function ratios and rational functions of
+  ``s`` with its exact value and derivative at ``s = 0``, where the densities
+  are read: each distinct ``s``-factor from its element of the field below,
+  each Gamma class a Taylor polynomial.  A pole that does not cancel raises.
 * ``exact_zero`` / ``rationalize`` -- the exact zero test and the one rational
   form: each ``Gamma(a*s + b)`` becomes one representative per Gamma class times
   a rational factor (the package's only Gamma normalization), and the normal
@@ -21,7 +16,7 @@ expansion is turned into a spectral density:
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
-  expressed as a prefactor in ``s`` times a power of ``z``.
+  expressed as a polynomial prefactor in ``s`` times a power of ``z``.
 * ``xi_moment`` -- the exact monomial moment
   ``(2 pi)^{-d} int xi^e (1 + |xi|^2)^{-P} dxi`` over ``R^d``.
 * ``riemann_zeta`` / ``zeta_deriv_at`` -- the Riemann zeta function and its
@@ -65,21 +60,20 @@ class DivergentMomentError(ValueError):
 
 @dataclass(frozen=True)
 class SFunction:
-    """A meromorphic function of ``s`` with exact sympy backing.
-
-    The atom shapes produced by the pipeline are rational functions of ``s``,
-    exponential scalings ``c**(-s)`` and the Gamma factors of ``exact_zero``.
+    """A meromorphic function of ``s``, read at ``s0 = 0`` only (``ValueError``
+    elsewhere): ``s``-free coefficients times rational functions of ``s`` and
+    of the Gamma factors of ``exact_zero``, any other atom a :class:`DomainError`.
     """
 
     expr: sp.Expr
 
     def value_at(self, s0) -> sp.Expr:
-        """Exact value at ``s = s0`` (limit if removable)."""
-        return _jet(self.expr, sp.sympify(s0))[0]
+        """Exact value at ``s = s0 = 0`` (limit if removable)."""
+        return _jet(self.expr, s0)[0]
 
     def deriv_at(self, s0) -> sp.Expr:
-        """Exact derivative value at ``s = s0`` (limit if removable)."""
-        return _jet(self.expr, sp.sympify(s0))[1]
+        """Exact derivative value at ``s = s0 = 0`` (limit if removable)."""
+        return _jet(self.expr, s0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ def exact_zero(expr) -> bool:
     relation among the constants or the representatives that this form does
     not apply could only turn a zero into a False, never the reverse.
 
-    Raises ``ValueError`` on any other ``s``-dependent atom, such as
+    Raises :class:`DomainError` on any other ``s``-dependent atom, such as
     ``2**(-s)``, ``gamma(s**2)`` or ``polygamma(0, s)``.
     """
     return not _field(expr)[0]
@@ -134,8 +128,8 @@ def _field(expr):
     over equal denominators first, and the field cancels that fraction once.
     Nothing is expanded as a sympy expression.
 
-    Raises ``ValueError`` on any other ``s``-dependent atom, on an infinity
-    and on a division by zero.
+    Raises :class:`DomainError` on any other ``s``-dependent atom, and
+    ``ValueError`` on an infinity and on a division by zero.
     """
     from sympy.polys.fields import FracField
 
@@ -164,7 +158,7 @@ def _field(expr):
     collect(normal)
     for atom, L in roots.items():
         if atom.has(S) and (atom is not S or L > 1) or atom.is_finite is False:
-            raise ValueError(f"no exact zero test: {atom} is not a rational function "
+            raise DomainError(f"no exact zero test: {atom} is not a rational function "
                              "of s and Gamma(a*s + b)")
     atoms = sorted(roots, key=sp.default_sort_key)
     field = FracField([a ** sp.Rational(1, roots[a]) for a in atoms], sp.QQ)
@@ -214,7 +208,7 @@ def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
     ``s = 0``, so any pole there sits in the rational factor, where it cancels
     (``s*Gamma(s/2)/Gamma(s/2 + 1/2)`` would read ``0*oo`` with ``[0, 1)``).
 
-    Raises ``ValueError`` on a Gamma factor whose argument is not ``a*s + b``
+    Raises :class:`DomainError` on a Gamma factor whose argument is not ``a*s + b``
     with ``a > 0`` and ``b`` rational.
     """
     classes: dict[sp.Expr, sp.Dummy] = {}
@@ -226,7 +220,7 @@ def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
         b, slope = arg.as_independent(S, as_Add=True)
         a = slope / S
         if not (a.is_Rational and a > 0 and b.is_Rational):
-            raise ValueError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
+            raise DomainError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
         n = -(-b.p // b.q) - 1
         x = a * S + b - n
         normal[g] = classes.setdefault(x, sp.Dummy("Gamma")) * sp.rf(x, n)
@@ -234,59 +228,63 @@ def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
 
 
 # ---------------------------------------------------------------------------
-# Jets at a point
+# Jets at s = 0
 # ---------------------------------------------------------------------------
 
-def _branch_point(f: sp.Expr, s0: sp.Expr) -> bool:
-    """Whether a power or logarithm in ``f`` branches at ``s = s0``."""
-    roots = [p.base for p in f.atoms(sp.Pow) if p.base.has(S) and not p.exp.is_integer]
-    roots += [g.args[0] for g in f.atoms(sp.log) if g.has(S)]
-    return any(r.subs(S, s0) == 0 for r in roots)
-
-
 @lru_cache(maxsize=None)
-def _factor_laurent(factor: sp.Expr, s0: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
-    """Laurent coefficients ``(k, c_k)`` (``k <= 1``) of ``factor`` at ``s = s0``.
+def _laurent(factor: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
+    """Laurent coefficients ``(k, c_k)`` (``k <= 1``) at ``s = 0`` of ``factor``,
+    the element ``N/D`` of ``_field`` with pole order ``p``, the ``s``-adic
+    valuation of ``D``.  Each ``Gamma(a*s + b)`` becomes the ring polynomial
+    ``Gamma(b) exp(sum_k psi^(k-1)(b) (a*s)^k / k!)`` to order ``p + 1``, with
+    ``Gamma(b)`` valued at the end, and ``N`` is divided by ``D / s**p`` as power
+    series.  Raises where ``_field`` raises, and :class:`DomainError` where
+    ``D / s**p`` vanishes at ``s = 0``."""
+    from sympy.polys.rings import PolyRing
 
-    The factor is put in the Gamma normal form of ``_gamma_classes``.  Where it
-    is regular, ``subs`` and ``diff`` give its two Taylor coefficients; only at
-    a pole is it expanded with ``series``.  Raises :class:`DomainError` at a
-    branch point.
-    """
-    normal, classes = _gamma_classes(factor)
-    f = normal.xreplace({rep: sp.gamma(x) for rep, x in classes.items()})
-    if _branch_point(f, s0):
-        raise DomainError(f"branch point of {factor} at s = {s0}")
-    taylor = (f.subs(S, s0), sp.diff(f, S).subs(S, s0))
-    if not any(c.has(sp.zoo, sp.nan, sp.oo, -sp.oo) for c in taylor):
-        return tuple(enumerate(taylor))
-    out: dict[int, sp.Expr] = {}
-    for term in sp.Add.make_args(sp.expand(sp.series(f.subs(S, S + s0), S, 0, 2).removeO())):
-        c, k = term.as_coeff_exponent(S)
-        if c.has(S) or not k.is_integer:
-            raise DomainError(f"branch point of {factor} at s = {s0}")
-        out[int(k)] = out.get(int(k), sp.Integer(0)) + c
-    return tuple(out.items())
+    element, classes = _field(factor)
+    symbols = element.field.symbols
+    p = min(m[symbols.index(S)] for m in element.denom.itermonoms()) if S in symbols else 0
+    classes = {rep: x.as_coeff_Add() for rep, x in classes.items() if rep in symbols}
+    # the values psi^(k)(b), never numbers, are generators of their own
+    psi = {(b, k): sp.polygamma(k, b) for b, _ in classes.values() for k in range(p + 1)}
+    ring = PolyRing(tuple(dict.fromkeys((S, *symbols, *psi.values()))), sp.QQ)
+    gens = dict(zip(ring.symbols, ring.gens))
+    s, taylor = gens[S], []
+    for rep, (b, slope) in classes.items():
+        log = sum((gens[psi[b, k]] * (s * slope.coeff(S)) ** (k + 1) / sp.factorial(k + 1)
+                   for k in range(p + 1)), ring.zero)
+        exp = sum((log ** j / sp.factorial(j) for j in range(p + 2)), ring.zero)
+        taylor.append((gens[rep], gens[rep] * exp))
+    numer, denom = (f.set_ring(ring).compose(taylor) for f in (element.numer, element.denom))
+    # 1/denom = sum_i rest**i / (lead s**p)**(i + 1), with rest = lead s**p - denom = O(s**(p+1))
+    lead = denom.coeff_wrt(s, p)
+    rest, terms = lead * s ** p - denom, [numer]
+    for _ in range(p + 1):
+        terms.append(terms[-1] * rest)
+    values = {rep: sp.gamma(b) for rep, (b, _) in classes.items()}
+    if exact_zero(d0 := lead.as_expr().xreplace(values)):
+        raise DomainError(f"no jet of {factor} at s = 0: D / s**{p} vanishes there")
+    return tuple((k, sum(t.coeff_wrt(s, k + p * (i + 1)).as_expr().xreplace(values) / d0 ** (i + 1)
+                         for i, t in enumerate(terms))) for k in range(-p, 2))
 
 
-def _jet(expr: sp.Expr, s0: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
-    """Value and first derivative at ``s = s0`` of ``expr = sum_i c_i f_i(s)``.
-
-    Terms are grouped by their ``s``-dependent factor ``f_i``; the Laurent
-    coefficients of each distinct factor are computed once and combined with
-    the ``s``-free coefficients ``c_i``.  Raises :class:`DomainError` unless
-    the combined pole part vanishes.
-    """
+def _jet(expr: sp.Expr, s0) -> tuple[sp.Expr, sp.Expr]:
+    """Value and first derivative at ``s = s0 = 0`` of ``expr = sum_i c_i f_i(s)``,
+    with the terms grouped by their ``s``-factor ``f_i``.  Raises ``ValueError``
+    unless ``s0 = 0``, and :class:`DomainError` unless the pole part vanishes."""
+    if s0 != 0:
+        raise ValueError(f"an SFunction is read at s = 0 only, not at s = {s0}")
     groups: dict[sp.Expr, sp.Expr] = {}
     for term in sp.Add.make_args(expr):
         coeff, factor = term.as_independent(S, as_Add=False)
         groups[factor] = groups.get(factor, sp.Integer(0)) + coeff
     jet: dict[int, sp.Expr] = {}
     for factor, coeff in groups.items():
-        for k, c in _factor_laurent(factor, s0):
+        for k, c in _laurent(factor):
             jet[k] = jet.get(k, sp.Integer(0)) + coeff * c
     if any(k < 0 and not exact_zero(c) for k, c in jet.items()):
-        raise DomainError(f"pole of SFunction at s = {s0}")
+        raise DomainError("pole of SFunction at s = 0")
     return jet.get(0, sp.Integer(0)), jet.get(1, sp.Integer(0))
 
 
@@ -302,27 +300,26 @@ def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
     ``1 / ((s-1)(s-2)...(s-k))``; for non-integer ``k`` the ratio vanishes at
     ``s = 0`` (simple zero from ``1/Gamma(s)``) with derivative ``Gamma(-k)``.
     """
-    return _jet(sp.gamma(S - sp.Rational(k)) / sp.gamma(S), sp.Integer(0))
+    return _jet(sp.gamma(S - sp.Rational(k)) / sp.gamma(S), 0)
 
 
 # ---------------------------------------------------------------------------
 # Contour residues in the spectral parameter
 # ---------------------------------------------------------------------------
 
-def mu_residue(order: int) -> tuple[SFunction, int]:
+def mu_residue(order: int) -> tuple[sp.Expr, int]:
     """Residue data for ``(1/2 pi i) oint mu^{-s} (mu - z)^{-order} dmu``.
 
     The contour encircles the ray where ``z`` lives; the result is
-    ``prefactor(s) * z**(-s - shift)``.  Returns the ``SFunction`` prefactor
-    and the integer ``shift = order - 1``.
+    ``prefactor(s) * z**(-s - shift)``.  Returns the prefactor, a polynomial
+    in ``s``, and the integer ``shift = order - 1``.
     """
     if order < 1:
         raise DomainError("pole order must be >= 1")
-    j = order
-    # (1/(j-1)!) d^{j-1}/dmu^{j-1} mu^{-s} at mu = z
-    # = (-1)^{j-1} (s)_{j-1} / (j-1)! * z^{-s-j+1}
-    pre = sp.expand((-1) ** (j - 1) * sp.rf(S, j - 1) / sp.factorial(j - 1))
-    return SFunction(pre), order - 1
+    # (1/k!) d^k/dmu^k mu^{-s} at mu = z, with k = order - 1,
+    # = (-1)^k (s)_k / k! * z^{-s-k}
+    k = order - 1
+    return sp.expand((-1) ** k * sp.rf(S, k) / sp.factorial(k)), k
 
 
 # ---------------------------------------------------------------------------

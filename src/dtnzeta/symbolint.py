@@ -83,7 +83,7 @@ def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
     total = sp.Integer(0)
     for (j, k, exps), coeff in groups.items():
         pre, shift = mu_residue(j)
-        total += coeff * pre.expr * xi_moment(ch.d, exps, (S + shift - k) / 2)
+        total += coeff * pre * xi_moment(ch.d, exps, (S + shift - k) / 2)
     total = sp.expand(total.xreplace(ch.post_integration_rules()))
     return _assert_cancellations(ch, total)
 
@@ -114,10 +114,10 @@ def transform(ch: BoundaryChart, mat) -> sp.Expr:
 
 
 def _density_display(ch: BoundaryChart, jet: sp.Expr) -> sp.Expr:
-    """The display form ``together(expand(jet))`` of a density jet, a normal
-    form of curvature polynomials that decides nothing.  Raises
-    :class:`CancellationError` if a symbol other than a curvature is left."""
-    val = sp.together(sp.expand(jet))
+    """The display form ``rationalize(jet)`` of a density jet: one fraction of
+    curvature polynomials.  Raises :class:`CancellationError` if a symbol
+    other than a curvature is left."""
+    val = rationalize(jet)
     leftovers = val.free_symbols - {ch.tauM, ch.tauY, *ch.kappas}
     if leftovers:
         raise CancellationError(f"unresolved symbols in density: {leftovers}")

@@ -130,8 +130,8 @@ def test_criterion_6_integral_table_quadrature():
         # contour integrals around a pole at z, evaluated on a circle
         z, rad, sv = mp.mpf("1.3"), mp.mpf("0.4"), 3
         for order in (1, 2, 3):
-            fn, shift = mu_residue(order)
-            exact = complex(sp.lambdify(S, fn.expr, modules="mpmath")(mp.mpf(sv))
+            pre, shift = mu_residue(order)
+            exact = complex(sp.lambdify(S, pre, modules="mpmath")(mp.mpf(sv))
                             * z ** (-sv - shift))
 
             def integrand(t, order=order):

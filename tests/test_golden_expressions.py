@@ -1,14 +1,14 @@
 """The emitted exact expressions must not change form.
 
 ``tests/data/golden_expressions.json`` holds the ``str()`` of every boundary
-density, ``pi0_density`` and the Gamma-ratio jets at zero, recorded before the
-s-jet moved to per-factor Laurent coefficients; ``a0_density(2, 1)`` and
-``q_density(3, 0)`` were re-recorded, equal in value, when the display form
-became ``together(expand(.))``.  The semantic checks in ``test_symbolint.py``
-would accept any equal expression; this test requires the same string, also
-from the hand-written references.  The ``str()`` of every ``term_table`` piece
-and of the ``derive-terms`` sum row was recorded when Gamma normalization moved
-into ``dtnzeta.sfunc.rationalize``.
+density, ``pi0_density`` and the Gamma-ratio jets at zero.  Densities display
+as ``dtnzeta.sfunc.rationalize`` of their jet at ``s = 0``; ``a0_density(2, 1)``
+was last re-recorded, equal in value, when the display moved to that form.
+The semantic checks in ``test_symbolint.py`` would accept any equal
+expression; this test requires the same string, also from the hand-written
+references.  The ``str()`` of every ``term_table`` piece and of the
+``derive-terms`` sum row was recorded when Gamma normalization moved into
+``dtnzeta.sfunc.rationalize``.
 """
 
 import json

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from dtnzeta.sfunc import S, _factor_laurent, exact_zero, rationalize
+from dtnzeta.sfunc import S, exact_zero, rationalize
 from dtnzeta.symbolcas import chart
 from dtnzeta.symbolint import (
     TERM_LABELS,
@@ -75,21 +75,6 @@ class TestRationalize:
     def test_surviving_class_raises(self, expr):
         with pytest.raises(ValueError):
             rationalize(expr)
-
-
-def test_no_density_falls_back_to_series(monkeypatch):
-    # in its Gamma normal form every s-factor of the densities is regular at
-    # s = 0, so no jet expands a series
-    calls = []
-    series = sp.series
-    monkeypatch.setattr(sp, "series",
-                        lambda *args, **kw: calls.append(args) or series(*args, **kw))
-    _factor_laurent.cache_clear()
-    for m, q in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
-        a0_density(m, q), q_density(m, q)
-    for q in (0, 1, 2):
-        pi0_density(q)
-    assert calls == []
 
 
 class TestDim2Densities:

@@ -17,8 +17,10 @@ and deriving a density does not import ``sympy.physics.units`` (which
 ``simplify`` loads); importing the CLI does not import numpy.  The Gamma
 normal form ``_gamma_classes`` is referred to only inside ``sfunc.py``; other
 modules use ``exact_zero`` and ``rationalize``.  Both go through the one
-sparse rational-function field built in ``sfunc._field``; ``sfunc.py`` refers
-to neither ``together`` nor ``cancel``.
+sparse rational-function field built in ``sfunc._field``; no module of the
+package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
+``s = 0`` only, from that field: ``sfunc.py`` refers to no ``series``,
+``diff``, ``subs`` or ``_branch_point``.
 
 No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
@@ -180,17 +182,25 @@ def test_gamma_normal_form_has_one_home():
 
 def test_rational_field_has_one_home():
     # every exact zero and every rational form goes through the one sparse
-    # field of sfunc._field: no other function builds a FracField, and sfunc
-    # keeps no Expr-level rational normalization (together/cancel)
-    homes = set()
+    # field of sfunc._field: no other function builds a FracField, and no
+    # module keeps an Expr-level rational normalization (together/cancel)
+    homes, normalizers = set(), set()
     for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
         for name, function in _references(ast.parse(path.read_text())):
             if name == "FracField":
                 homes.add((path.name, function))
+            if name in {"together", "cancel"}:
+                normalizers.add((path.name, function, name))
     assert homes == {("sfunc.py", "_field")}
-    sfunc_names = {name for name, _ in
-                   _references(ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text()))}
-    assert not sfunc_names & {"together", "cancel"}
+    assert not normalizers
+
+
+def test_jet_is_read_at_zero_from_the_field():
+    # the s-jet is taken at s = 0 from the field element of each factor: no
+    # series, no subs/diff at a point and no branch-point test
+    names = {name for name, _ in
+             _references(ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text()))}
+    assert not names & {"series", "diff", "subs", "_branch_point"}
 
 
 def _written_self_attr(target):
