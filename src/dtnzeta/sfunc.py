@@ -118,10 +118,11 @@ def _field(expr):
     returns it and ``{representative: x}``.
 
     The generators are the free symbols, the class representatives and the
-    constant atoms (``pi``, ``log(2)``, ...); ``log`` of a rational is first
-    split over primes.  An atom ``b`` that also occurs as ``b**(p/q)`` enters
-    through the one generator ``t = b**(1/L)``, with ``L`` the least common
-    denominator of its exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a
+    constant atoms (``pi``, ``log(2)``, ...); ``log`` of a rational, or of a
+    product of rational powers of rationals, is first split over primes
+    (:func:`_prime_logs`).  An atom ``b`` that also occurs as ``b**(p/q)``
+    enters through the one generator ``t = b**(1/L)``, with ``L`` the least
+    common denominator of its exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a
     rational ``b`` the relation ``t**L = b`` is applied too, and for ``I`` the
     relation ``t**(2L) = -1``.  The expression tree is rebuilt as one
     numerator over one denominator in the polynomial ring, summing the terms
@@ -149,9 +150,10 @@ def _field(expr):
             collect(e.base)
         elif e.is_Pow and e.exp.is_Rational and not (e.base.is_Add or e.base.is_Mul):
             roots[e.base] = sp.ilcm(roots.get(e.base, 1), e.exp.q)
-        elif isinstance(e, sp.log) and e.args[0].is_Rational and not e.args[0].is_prime:
-            split[e] = sp.Add(*(k * sp.log(p) for p, k in sp.factorrat(e.args[0]).items()))
-            collect(split[e])
+        elif (isinstance(e, sp.log) and not e.args[0].is_prime
+              and (logs := _prime_logs(e.args[0])) is not None):
+            split[e] = logs
+            collect(logs)
         else:
             roots.setdefault(e, 1)
 
@@ -198,6 +200,19 @@ def _field(expr):
     if not denom:
         raise ValueError(f"no exact zero test: division by zero in {expr}")
     return field.new(numer, denom), classes
+
+
+def _prime_logs(arg: sp.Expr) -> sp.Expr | None:
+    """``log(arg)`` as ``sum_p k_p log(p)`` over primes ``p``, for ``arg`` a
+    product of rational powers ``r**(a/b)`` of positive rationals ``r``
+    (``log(sqrt(3)) = log(3)/2``); ``None`` for any other ``arg``."""
+    logs = []
+    for factor in sp.Mul.make_args(arg):
+        base, exp = factor.as_base_exp()
+        if not (base.is_Rational and base > 0 and exp.is_Rational):
+            return None
+        logs += [exp * k * sp.log(p) for p, k in sp.factorrat(base).items()]
+    return sp.Add(*logs)
 
 
 def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:

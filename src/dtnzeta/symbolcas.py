@@ -200,7 +200,9 @@ class BoundaryChart:
     generic function of the boundary normal coordinates (:func:`_jet_symbol`);
     ``d_y`` and ``d_norm`` take jets to higher jets exactly, so symbol
     manipulations produce genuine jets.  A separate substitution table
-    (:meth:`eval_at_boundary_point`) evaluates them at the distinguished point.
+    (:meth:`_resolve_jet`) evaluates them at the distinguished point, applied
+    by :meth:`eval_at_boundary_point` or at the leaves of
+    :func:`_laurent_expansion`.
     """
 
     def __init__(self, m: int, q: int):
@@ -558,7 +560,7 @@ class BoundaryChart:
 
         These are the mixed normal/tangential jets of ``g^{ab}`` and ``ln|g|``,
         the off-diagonal second normal jets of ``g^{ab}``, the diagonal ones
-        left after :meth:`post_integration_rules` eliminates the first, and the
+        but the first, which :meth:`post_integration_rules` eliminates, and the
         Ricci components of the curvature endomorphism that no trace fixes.
         """
         d = self.d
@@ -575,12 +577,15 @@ class BoundaryChart:
         return frozenset(_jet(name) for name in names)
 
     def post_integration_rules(self) -> dict[Symbol, sp.Expr]:
-        """Substitutions resolving trace-only jet symbols after integration.
+        """Substitutions resolving trace-only jet symbols.
 
         The individual diagonal second normal metric jets and the diagonal
         curvature-endomorphism entries are only known through their traces;
         these rules eliminate one symbol of each family in favour of the known
         trace.  The remaining symbols of each family are in :attr:`must_cancel`.
+        The symbols are constants of the contour and momentum integration, so
+        the rules hold for the integrated density and may be applied before
+        the integration: :func:`_laurent_expansion` applies them at its leaves.
         """
         gmm = [_jet(f"Gmm{a + 1}") for a in range(self.d)]
         rules = {gmm[0]: self.sum_gu_mm - sum(gmm[1:], sp.Integer(0))}
@@ -653,67 +658,112 @@ def star_compose(comp_a: dict[int, Matrix], comp_b: dict[int, Matrix],
     return out
 
 
-def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, xi_sq: sp.Expr):
+def _symbols(expr: sp.Expr) -> set[Symbol]:
+    """The free symbols of ``expr``, each shared subexpression visited once
+    (``free_symbols`` walks the expression DAG as a tree)."""
+    seen, symbols, stack = set(), set(), [expr]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if x.is_Symbol:
+                symbols.add(x)
+            else:
+                stack.extend(x.args)
+    return symbols
+
+
+def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False):
     """Laurent expansion of a symbol-calculus scalar in ``mu - w`` and ``w``.
 
     Replaces the principal symbol ``w`` by a generator ``v`` through the
-    relation ``v**2 = |xi|_g^2 + lam`` (``xi_sq`` is ``|xi|_g^2``), imposed by
-    eliminating ``lam = v**2 - xi_sq`` (so ``w = sqrt(v**2) = v``), and shifts
-    the spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
-    Every denominator the calculus produces is a power of ``w`` or of
-    ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so afterwards every
-    denominator is a monomial in ``t`` and ``v``.  The remaining variables
-    (``t, v, xi`` and the jet atoms) are algebraically independent and both
-    substitutions are invertible, so the expression has exactly one expansion
-    as a Laurent polynomial in them.  Raises ``ValueError`` when any other base
-    is left under a negative or fractional power, or any other function is
-    left, where no such expansion exists.
+    relation ``v**2 = |xi|_g^2 + lam``, imposed by eliminating
+    ``lam = v**2 - |xi|_g^2`` (so ``w = sqrt(v**2) = v``), and shifts the
+    spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
+    With ``at_point`` every coefficient jet is replaced by its value at the
+    distinguished boundary point (:meth:`BoundaryChart._resolve_jet`) with
+    :meth:`BoundaryChart.post_integration_rules` applied, and ``|xi|_g^2`` is
+    ``|xi|^2``.  Without it the jets stay generators and ``|xi|_g^2`` is
+    ``g^{ab} xi_a xi_b``, unless ``expr`` holds no jet (it was evaluated at
+    the point already).  Every denominator the calculus produces is a power
+    of ``w`` or of ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so
+    afterwards every denominator is a monomial in ``t`` and ``v``.  The
+    remaining variables (``t, v, xi`` and the other atoms) are algebraically
+    independent and the substitutions of ``lam`` and ``mu`` are invertible, so
+    the expression has exactly one expansion as a Laurent polynomial in them.
 
-    The expansion is computed in a sparse polynomial ring over ``QQ(i)``
-    whose generators are ``t, 1/t, v, 1/v`` and the remaining atoms, one
-    conversion per distinct subexpression.  Returns the ring and the nonzero
+    The expansion is one walk into a sparse polynomial ring over ``QQ``
+    whose generators are ``t, 1/t, v, 1/v``, ``I`` and the remaining atoms,
+    one conversion per distinct subexpression; every substitution is made at
+    a leaf.  A negative integer power is accepted only when its base maps to
+    one nonzero monomial in ``t``, ``v`` and ``I``, a half-integer power only
+    when its base maps to ``v**2``; any other power or function raises
+    ``ValueError``, as does a zero base.  Returns the ring and the nonzero
     coefficients by exponent tuple, with ``t * (1/t)`` and ``v * (1/v)``
-    cancelled, so an identity comes out empty before any expression is built.
+    cancelled and ``I**2 = -1`` applied, so an identity comes out empty
+    before any expression is built.
     """
     v = Symbol("v_princ", positive=True)
     t = Symbol("t_gap")
-    e = expr.xreplace({ch.lam: v ** 2 - xi_sq, ch.mu: t + v})
-    atoms = e.free_symbols - {t, v}
-    ring = PolyRing([t, 1 / t, v, 1 / v, *atoms], sp.QQ_I)
+    symbols = _symbols(expr)
+    jets = {s: key for s in symbols if (key := _jet_key(s)) is not None}
+    xi_sq = (ch.w ** 2 - ch.lam if jets and not at_point
+             else Add(*[xi ** 2 for xi in ch.xis]))
+    leaves = {ch.lam: v ** 2 - xi_sq, ch.mu: t + v}
+    if at_point:
+        leaves.update(ch.post_integration_rules())
+        leaves.update({s: ch._resolve_jet(*key) for s, key in jets.items()})
+
+    def atoms(x):
+        return set().union(*map(atoms, leaves[x].free_symbols)) if x in leaves else {x}
+
+    ring = PolyRing([t, 1 / t, v, 1 / v, II, *set().union(*map(atoms, symbols)) - {t, v}],
+                    sp.QQ)
     poly = dict(zip(ring.symbols, ring.gens))
+
+    def invert(base, x):
+        """``1/base`` for a ``base`` that is one monomial in ``t``, ``v`` and ``I``."""
+        if not base:
+            raise ValueError(f"division by zero in {x}")
+        ((tp, tn, vp, vn, i, *rest), c), *others = base.items()
+        if others or any(rest):
+            raise ValueError(f"{x} is not a Laurent monomial in mu - w and w")
+        return ring.from_dict({(tn, tp, vn, vp, i, *rest): ring.domain((-1) ** i) / c})
 
     def convert(x):
         if x not in poly:
-            if x.is_Add:
+            if x in leaves:
+                poly[x] = convert(leaves[x])
+            elif x.is_Add:
                 poly[x] = sum((convert(a) for a in x.args), ring.zero)
             elif x.is_Mul:
                 poly[x] = math.prod((convert(a) for a in x.args), start=ring.one)
-            elif x.is_Pow and x.exp.is_Integer and (x.exp > 0 or x.base in (t, v)):
-                base = x.base if x.exp > 0 else 1 / x.base
-                poly[x] = convert(base) ** abs(int(x.exp))
-            elif x.is_Number or x is II:
+            elif x.is_Pow and x.exp.is_Integer:
+                base = convert(x.base)
+                poly[x] = (base if x.exp > 0 else invert(base, x)) ** abs(int(x.exp))
+            elif (x.is_Pow and x.exp.is_Rational and x.exp.q == 2
+                  and convert(x.base) == poly[v] ** 2):
+                poly[x] = (poly[v] if x.exp > 0 else poly[1 / v]) ** abs(x.exp.p)
+            elif x.is_Number:
                 poly[x] = ring(x)
             else:
                 raise ValueError(f"{x} is not a Laurent monomial in mu - w and w")
         return poly[x]
 
+    whole = convert(expr)
+    poly.clear()  # convert refers to itself: free the memo before the cyclic collector would
     terms = {}
-    for (tp, tn, vp, vn, *rest), c in convert(e).items():
+    for (tp, tn, vp, vn, i, *rest), c in whole.items():
         k, l = min(tp, tn), min(vp, vn)
-        mono = (tp - k, tn - k, vp - l, vn - l, *rest)
-        terms[mono] = terms.get(mono, ring.domain.zero) + c
+        mono = (tp - k, tn - k, vp - l, vn - l, i % 2, *rest)
+        terms[mono] = terms.get(mono, ring.domain.zero) + (-c if i % 4 > 1 else c)
     return ring, {mono: c for mono, c in terms.items() if c}
 
 
 def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
-    """The expansion of :func:`_laurent_expansion` as an expression: literal 0
-    exactly when the identity holds.  Expressions already evaluated at the
-    boundary point (no coefficient jets left) carry the metric there,
-    ``g^{ab} = delta^{ab}``."""
-    xi_sq = ch.w ** 2 - ch.lam
-    if not any(_jet_key(s) for s in expr.free_symbols):
-        xi_sq = ch.eval_at_boundary_point(xi_sq)
-    ring, terms = _laurent_expansion(ch, expr, xi_sq)
+    """The expansion of :func:`_laurent_expansion`, jets kept, as an
+    expression: literal 0 exactly when the identity holds."""
+    ring, terms = _laurent_expansion(ch, expr)
     return ring.from_dict(terms).as_expr()
 
 

@@ -57,52 +57,58 @@ class CancellationError(AssertionError):
 def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
     """Exact transform of a scalar resolvent-trace expression.
 
-    Evaluates the expression at the distinguished boundary point and expands
-    it in ``t = mu - w`` and ``v = w`` as the identity proofs do.  With the
-    spectral parameter normalized to 1, a monomial ``t^{-j} v^k xi^e`` is the
-    residue ``(1/2 pi i) oint mu^{-s} (mu - w)^{-j} dmu`` times the closed
-    moment of ``xi^e w^{k-s-j+1}``, one of each per distinct ``(j, k, e)``.
-    Then the trace-level jet resolution rules are applied.  Raises
-    ``ValueError`` on a monomial with ``j < 1`` and on a non-Laurent factor.
+    Expands the expression at the distinguished boundary point in
+    ``t = mu - w`` and ``v = w`` in one walk (:func:`_laurent_expansion` with
+    its jet table).  The walk also applies the trace rules of
+    :meth:`BoundaryChart.post_integration_rules`; they replace constants of the
+    contour and momentum integration, so applying them before it is exact.
+    With the spectral parameter normalized to 1, a monomial ``t^{-j} v^k xi^e``
+    is the residue ``(1/2 pi i) oint mu^{-s} (mu - w)^{-j} dmu`` times the
+    closed moment of ``xi^e w^{k-s-j+1}``, one of each per distinct
+    ``(j, k, e)``; the polynomial ``P`` of the other atoms that multiplies them
+    is kept as it is, and the result is the sum of ``P`` times residue times
+    moment over those groups, less the monomials in the must-cancel jets
+    (:func:`_assert_cancellations`).  Raises ``ValueError`` on a monomial with
+    ``j < 1`` and on a non-Laurent factor.
     """
-    # |xi|_g^2 at the boundary point, where g^{ab} = delta^{ab}
-    xi_sq = sum(xi ** 2 for xi in ch.xis)
-    ring, terms = _laurent_expansion(ch, ch.eval_at_boundary_point(scalar), xi_sq)
+    ring, terms = _laurent_expansion(ch, scalar, at_point=True)
+    xi_slots = [ring.symbols.index(xi) if xi in ring.symbols else None for xi in ch.xis]
     groups = {}
-    for (tp, tn, vp, vn, *rest), c in terms.items():
+    for mono, c in terms.items():
+        tp, tn, vp, vn = mono[:4]
         j = tn - tp
         if j < 1:
             raise ValueError(f"contour order {j} < 1: no residue at mu = w")
-        powers = dict(zip(ring.symbols[4:], rest))
-        exps = tuple(powers.pop(xi, 0) for xi in ch.xis)
+        exps = tuple(0 if i is None else mono[i] for i in xi_slots)
         if any(e % 2 for e in exps):
             continue  # odd momentum moment: exact zero
-        key = (j, vp - vn, exps)
-        coeff = ring.domain.to_sympy(c) * sp.Mul(*[b ** e for b, e in powers.items()])
-        groups[key] = groups.get(key, sp.Integer(0)) + coeff
-    total = sp.Integer(0)
-    for (j, k, exps), coeff in groups.items():
+        rest = [0 if i < 4 or i in xi_slots else e for i, e in enumerate(mono)]
+        groups.setdefault((j, vp - vn, exps), {})[tuple(rest)] = c
+    weighted = []
+    for (j, k, exps), coeffs in groups.items():
         pre, shift = mu_residue(j)
-        total += coeff * pre * xi_moment(ch.d, exps, (S + shift - k) / 2)
-    total = sp.expand(total.xreplace(ch.post_integration_rules()))
-    return _assert_cancellations(ch, total)
+        weighted.append((ring.from_dict(coeffs), pre * xi_moment(ch.d, exps, (S + shift - k) / 2)))
+    return _assert_cancellations(ch, ring, weighted)
 
 
-def _assert_cancellations(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
-    """Verify that every monomial in the must-cancel jet symbols has
-    coefficient zero in the expanded sum ``expr``; return it without them."""
-    survivors = expr.free_symbols & ch.must_cancel
-    if not survivors:
-        return expr
-    kept, coeffs = [], {}
-    for term in sp.Add.make_args(expr):
-        coeff, mono = term.as_independent(*survivors, as_Add=False)
-        if mono == 1:
-            kept.append(term)
-        else:
-            coeffs[mono] = coeffs.get(mono, sp.Integer(0)) + coeff
-    for mono, coeff in coeffs.items():
-        if not exact_zero(coeff):
+def _assert_cancellations(ch: BoundaryChart, ring, weighted) -> sp.Expr:
+    """``sum P * weight`` over the pairs of ``weighted`` (``P`` a polynomial
+    of ``ring``, ``weight`` an expression in ``s``) without its monomials in the
+    must-cancel jets.  The coefficient of each such monomial, summed over the
+    pairs, must be an exact zero; :class:`CancellationError` otherwise."""
+    slots = [i for i, x in enumerate(ring.symbols) if x in ch.must_cancel]
+    by_jets = {}  # monomial in the must-cancel jets -> the terms of its coefficient
+    for poly, weight in weighted:
+        parts = {}
+        for mono, c in poly.items():
+            rest = [0 if i in slots else e for i, e in enumerate(mono)]
+            parts.setdefault(tuple(mono[i] for i in slots), {})[tuple(rest)] = c
+        for jets, coeffs in parts.items():
+            by_jets.setdefault(jets, []).append(ring.from_dict(coeffs).as_expr() * weight)
+    kept = by_jets.pop((0,) * len(slots), [])
+    for jets, terms in by_jets.items():
+        if not exact_zero(coeff := sp.Add(*terms)):
+            mono = sp.Mul(*[ring.symbols[i] ** e for i, e in zip(slots, jets)])
             raise CancellationError(f"jet monomial {mono} survived with coefficient {coeff}")
     return sp.Add(*kept)
 

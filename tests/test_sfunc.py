@@ -364,6 +364,11 @@ class TestExactZero:
         # I is a root of t**2 + 1, sqrt(I) of t**4 + 1
         (1 + sp.I) * (1 - sp.I) - 2,
         sp.sqrt(sp.I) * (sp.sqrt(sp.I) + 1) - sp.I - sp.sqrt(sp.I),
+        # a log of a rational power is split over primes: log(sqrt(3)) =
+        # log(3)/2, which sympy's digamma at 1/3 holds
+        sp.log(3) / 2 - sp.log(sp.sqrt(3)),
+        sp.polygamma(0, sp.Rational(1, 3)) + sp.EulerGamma + 3 * sp.log(3) / 2
+        + sp.sqrt(3) * sp.pi / 6,
     ]
 
     @pytest.mark.parametrize("expr", RELATION_ZEROS)
@@ -371,6 +376,10 @@ class TestExactZero:
         assert exact_zero(expr)
         # negative control: a perturbation far below any float precision
         assert not exact_zero(expr + S * sp.pi / sp.Integer(10) ** 30)
+
+    def test_log_of_other_root_is_independent(self):
+        # negative control of the split: log(sqrt(2)) = log(2)/2, not log(3)/2
+        assert not exact_zero(sp.log(3) / 2 - sp.log(sp.sqrt(2)))
 
     def test_division_by_zero_raises(self):
         for zero in (sp.log(4) - 2 * sp.log(2), (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2),

@@ -98,6 +98,14 @@ class TestChartStructure:
         expr = ch.mu / (ch.w * (ch.mu - ch.w)) - 1 / (ch.mu - ch.w) - 1 / ch.w
         assert canonical_zero_form(ch, expr) == 0
 
+    def test_canonical_zero_form_inverts_imaginary_monomials(self):
+        # I is a generator with I**2 = -1, so 1/(I (mu - w)) = -I/(mu - w)
+        ch = chart(2, 0)
+        i_gap = sp.I * ch.mu - sp.I * ch.w
+        assert canonical_zero_form(ch, 1 / i_gap + sp.I / (ch.mu - ch.w)) == 0
+        assert canonical_zero_form(ch, i_gap ** -3 - sp.I / (ch.mu - ch.w) ** 3) == 0
+        assert canonical_zero_form(ch, 1 / i_gap - sp.I / (ch.mu - ch.w)) != 0
+
     def test_canonical_zero_form_rejects_other_denominators(self):
         ch = chart(2, 0)
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyRing
 
 from dtnzeta.sfunc import S, exact_zero, rationalize
-from dtnzeta.symbolcas import chart
+from dtnzeta.symbolcas import JetResolutionError, _laurent_expansion, chart
 from dtnzeta.symbolint import (
     TERM_LABELS,
     CancellationError,
@@ -55,6 +56,35 @@ class TestBoundaryReduce:
         ch = chart(2, 0)
         with pytest.raises(ValueError):
             boundary_reduce(ch, make(ch, ch.mu - ch.w, ch.xis[0]))
+
+
+class TestOneWalk:
+    """The walk with the jet table equals the two-step route it replaces: the
+    jets substituted by ``eval_at_boundary_point`` and the trace rules by
+    ``xreplace``, then the walk without a table."""
+
+    @pytest.mark.parametrize("m, q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_matches_two_step_route(self, m, q):
+        ch = chart(m, q)
+        res = ch.resolvent()
+        labels = ["r1", "r2", "r3" if m == 3 else "r2"] + (list(TERM_LABELS) if m == 3 else [])
+        for label in dict.fromkeys(labels):
+            tr = sum(res[label][i, i] for i in range(ch.n_proj))
+            two_step = ch.eval_at_boundary_point(tr).xreplace(ch.post_integration_rules())
+            one = _laurent_expansion(ch, tr, at_point=True)
+            two = _laurent_expansion(ch, two_step)
+            assert one[0].from_dict(one[1]).as_expr() == two[0].from_dict(two[1]).as_expr(), label
+
+    def test_unresolvable_jet_raises(self):
+        ch = chart(3, 1)
+        with pytest.raises(JetResolutionError):
+            boundary_reduce(ch, ch.d_y(ch.E[0, 0], 0) / (ch.mu - ch.w) ** 2)
+
+    def test_zero_base_raises(self):
+        # ln|g| is 0 at the point, so 1/ln|g| is a division by zero
+        ch = chart(3, 1)
+        with pytest.raises(ValueError, match="division by zero"):
+            boundary_reduce(ch, 1 / (ch.lng * (ch.mu - ch.w) ** 2))
 
 
 def _rationalize_reference(expr):
@@ -154,7 +184,19 @@ class TestScalingDegrees:
 
 class TestAssertCancellations:
     """Every monomial in the must-cancel jets needs a zero coefficient, not
-    only the linear one."""
+    only the linear one; the check runs on ring polynomials weighted by their
+    factor in ``s``, as :func:`boundary_reduce` hands them over."""
+
+    @staticmethod
+    def _check(ch, expr):
+        """``_assert_cancellations`` on ``expr`` split into ring polynomials,
+        one per ``s``-dependent factor."""
+        ring = PolyRing(sorted(expr.free_symbols - {S}, key=str), sp.QQ_I)
+        weighted = {}
+        for term in sp.Add.make_args(expr):
+            coeff, weight = term.as_independent(S, as_Add=False)
+            weighted[weight] = weighted.get(weight, ring.zero) + ring(coeff)
+        return _assert_cancellations(ch, ring, [(p, w) for w, p in weighted.items()])
 
     @pytest.mark.parametrize("make", [
         lambda a, b, tau: a ** 2 + tau,
@@ -165,11 +207,18 @@ class TestAssertCancellations:
         ch = chart(3, 0)
         a, b = sorted(ch.must_cancel, key=str)[:2]
         with pytest.raises(CancellationError):
-            _assert_cancellations(ch, make(a, b, ch.tauM))
+            self._check(ch, make(a, b, ch.tauM))
 
     def test_cancelled_monomials_are_dropped(self):
         ch = chart(3, 0)
         a, b = sorted(ch.must_cancel, key=str)[:2]
         s = sp.Symbol("s")
         expr = a * b * sp.gamma(s + 1) - a * b * s * sp.gamma(s) + ch.tauM
-        assert _assert_cancellations(ch, expr) == ch.tauM
+        assert self._check(ch, expr) == ch.tauM
+
+    def test_surviving_jet_through_boundary_reduce(self):
+        # d_n^2 g^{22} resolves to Gmm2, which no trace rule eliminates
+        ch = chart(3, 0)
+        gmm2 = ch.d_norm(ch.d_norm(ch.gu[1, 1]))
+        with pytest.raises(CancellationError, match="Gmm2"):
+            boundary_reduce(ch, gmm2 / (ch.mu - ch.w) ** 2)

@@ -20,7 +20,10 @@ modules use ``exact_zero`` and ``rationalize``.  Both go through the one
 sparse rational-function field built in ``sfunc._field``; no module of the
 package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
 ``s = 0`` only, from that field: ``sfunc.py`` refers to no ``series``,
-``diff``, ``subs`` or ``_branch_point``.
+``diff``, ``subs`` or ``_branch_point``.  A resolvent trace is reduced in
+one walk into its Laurent ring, the substitutions made at the leaves:
+``symbolint.boundary_reduce`` and ``symbolcas._laurent_expansion`` refer to no
+``expand``, ``xreplace`` or ``eval_at_boundary_point``.
 
 No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
@@ -201,6 +204,22 @@ def test_jet_is_read_at_zero_from_the_field():
     names = {name for name, _ in
              _references(ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text()))}
     assert not names & {"series", "diff", "subs", "_branch_point"}
+
+
+def test_trace_reduction_is_one_walk():
+    # a resolvent trace reaches its Laurent ring in one walk, with the jets,
+    # lam and mu substituted at its leaves: no sympy tree is rebuilt by
+    # xreplace or eval_at_boundary_point before it, nor expanded after it
+    found = []
+    for module, function in (("symbolint.py", "boundary_reduce"),
+                             ("symbolint.py", "_assert_cancellations"),
+                             ("symbolcas.py", "_laurent_expansion")):
+        tree = ast.parse((ROOT / "src" / "dtnzeta" / module).read_text())
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+        names = {name for name, _ in _references(fn)}
+        found += [f"{function}: {name}" for name in
+                  sorted(names & {"expand", "xreplace", "eval_at_boundary_point"})]
+    assert not found, found
 
 
 def _written_self_attr(target):
