@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
@@ -97,13 +96,15 @@ def render_report(command: str, rows: list[dict]) -> str:
     """Canonical JSON serialization (stable key order, fixed separators)."""
     status = "PASS" if all(r["status"] != "FAIL" for r in rows) else "FAIL"
     payload = {"command": command, "status": status, "rows": rows}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _check(quantity, citation, residual, tol, **extra):
+    """A row decided on ``residual`` and ``tol`` as given, mpf or float, and
+    reported rounded to float64."""
     status = "PASS" if abs(residual) < tol else "FAIL"
     return _row(quantity, citation, value=float(residual), status=status,
-                error_bound=tol, **extra)
+                error_bound=float(tol), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +174,6 @@ def _run_verify_zeta_zero(cfg: RunConfig) -> list[dict]:
 def _load_geometry(cfg: RunConfig):
     from . import geom as G
     if cfg.file:
-        if not os.path.exists(cfg.file):
-            raise FileNotFoundError(cfg.file)
         with open(cfg.file) as fh:
             geom = G.GeometrySpec.from_json(fh.read())
     else:
@@ -246,13 +245,12 @@ def _run_specfun_selftest(cfg: RunConfig) -> list[dict]:
                         xi_moment, zeta_deriv_at)
     rows = []
     with mp.workdps(cfg.dps + 10):
+        tol = mp.mpf(10) ** -cfg.dps
         for s0, ref in ((2, mp.pi ** 2 / 6), (0, mp.mpf(-1) / 2), (-1, mp.mpf(-1) / 12)):
-            res = float(riemann_zeta(s0, cfg.dps + 10) - ref)
             rows.append(_check(f"riemann-zeta-{s0}", "specfun.riemann-zeta",
-                               res, float(mp.mpf(10) ** (-cfg.dps))))
-        res = float(zeta_deriv_at(0, cfg.dps + 10) + mp.log(2 * mp.pi) / 2)
+                               riemann_zeta(s0, cfg.dps + 10) - ref, tol))
         rows.append(_check("riemann-zeta-deriv-0", "specfun.riemann-zeta",
-                           res, float(mp.mpf(10) ** (-cfg.dps))))
+                           zeta_deriv_at(0, cfg.dps + 10) + mp.log(2 * mp.pi) / 2, tol))
     for k, (v_ref, d_ref) in ((1, (-1, -1)), (sp.Rational(1, 2), (0, -2 * sp.sqrt(sp.pi))),
                               (2, (sp.Rational(1, 2), sp.Rational(3, 4)))):
         v, d = gamma_ratio_at_zero(k)
@@ -334,8 +332,10 @@ def main(argv=None) -> int:
         return 2
     try:
         status, report = run(cfg)
-    except FileNotFoundError as exc:
-        print(f"error: file-not-found: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading the --file input
+        reason = ("file-not-found" if isinstance(exc, FileNotFoundError)
+                  else f"input: {exc.strerror}")
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return 3
     except (KeyError, ValueError) as exc:
         print(f"error: schema-or-range: {exc}", file=sys.stderr)

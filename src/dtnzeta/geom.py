@@ -197,16 +197,24 @@ def _density_fn(m: int, q: int, kind: str):
     return sp.lambdify(args, expr, modules="math")
 
 
+def _quadrature(geom: GeometrySpec, q: int, kind: str) -> float:
+    """Quadrature of the ``kind`` density; ``ValueError`` unless it is finite."""
+    fn = _density_fn(geom.m, q, kind)
+    value = float(sum(n.w * fn(*n.kappa, n.tau_M, n.tau_Y) for n in geom.nodes))
+    if not math.isfinite(value):
+        raise ValueError(f"the {kind} constant of geometry {geom.label!r} at q = {q} "
+                         "overflows float64")
+    return value
+
+
 def a0_constant(geom: GeometrySpec, q: int) -> float:
     """Determinant-gluing constant: quadrature of the derived a0 density."""
-    fn = _density_fn(geom.m, q, "a0")
-    return float(sum(n.w * fn(*n.kappa, n.tau_M, n.tau_Y) for n in geom.nodes))
+    return _quadrature(geom, q, "a0")
 
 
 def zeta0_constant(geom: GeometrySpec, q: int) -> float:
     """Zeta value at zero plus the harmonic-space dimension, by quadrature."""
-    fn = _density_fn(geom.m, q, "zeta0")
-    return float(sum(n.w * fn(*n.kappa, n.tau_M, n.tau_Y) for n in geom.nodes))
+    return _quadrature(geom, q, "zeta0")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ expansion is turned into a spectral density:
   are read: each distinct ``s``-factor from its element of the field below,
   each Gamma class a Taylor polynomial.  A pole that does not cancel raises.
 * ``exact_zero`` / ``rationalize`` -- the exact zero test and the one rational
-  form: each ``Gamma(a*s + b)`` becomes one representative per Gamma class times
-  a rational factor (the package's only Gamma normalization), and the normal
-  form becomes one element of a sparse rational-function field over QQ
-  (``_field``, built without ``expand``).  That element decides zero, and,
-  once the classes cancel, it is the one fraction in ``s``.
+  form: one walk takes ``expr`` to one element of a sparse rational-function
+  field over QQ (``_field``, built without ``expand``), with each
+  ``Gamma(a*s + b)`` written at its leaf as its class generator times a
+  rising factorial (the package's only Gamma normalization).  That element
+  decides zero, and, once the classes cancel, it is the one fraction in ``s``.
 * ``gamma_ratio_at_zero`` -- value and derivative at ``s = 0`` of
   ``Gamma(s - k) / Gamma(s)``, from the same jet.
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
@@ -60,20 +60,20 @@ class DivergentMomentError(ValueError):
 
 @dataclass(frozen=True)
 class SFunction:
-    """A meromorphic function of ``s``, read at ``s0 = 0`` only (``ValueError``
-    elsewhere): ``s``-free coefficients times rational functions of ``s`` and
-    of the Gamma factors of ``exact_zero``, any other atom a :class:`DomainError`.
+    """A meromorphic function of ``s``, read at ``s = 0``, where the densities
+    are read: ``s``-free coefficients times rational functions of ``s`` and of
+    the Gamma factors of ``exact_zero``, any other atom a :class:`DomainError`.
     """
 
     expr: sp.Expr
 
-    def value_at(self, s0) -> sp.Expr:
-        """Exact value at ``s = s0 = 0`` (limit if removable)."""
-        return _jet(self.expr, s0)[0]
+    def value_at(self) -> sp.Expr:
+        """Exact value at ``s = 0`` (limit if removable)."""
+        return _jet(self.expr)[0]
 
-    def deriv_at(self, s0) -> sp.Expr:
-        """Exact derivative value at ``s = s0 = 0`` (limit if removable)."""
-        return _jet(self.expr, s0)[1]
+    def deriv_at(self) -> sp.Expr:
+        """Exact derivative value at ``s = 0`` (limit if removable)."""
+        return _jet(self.expr)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +86,18 @@ def exact_zero(expr) -> bool:
     ``expr`` must be a rational function of ``s`` and of Gamma factors
     ``Gamma(a*s + b)`` with ``a > 0`` and ``b`` rational; its ``s``-free part
     may hold any constants (``pi``, ``log(2)``, ``EulerGamma``, ...) and
-    symbols.  Each factor is written as its class representative times a
-    rising factorial in ``s`` (see ``_gamma_classes``), and ``expr`` is zero
-    when its element of the rational-function field of ``_field`` is, where
-    the representatives and the constants are independent generators.  A
-    True verdict is exact, since it holds for any value of the generators; a
-    relation among the constants or the representatives that this form does
-    not apply could only turn a zero into a False, never the reverse.
+    symbols.  Each factor is written as its class generator times a rising
+    factorial in ``s`` (see ``_gamma_class``), and ``expr`` is zero when its
+    element of the rational-function field of ``_field`` is, where the class
+    generators and the constants are independent generators.  A True verdict
+    is exact, since it holds for any value of the generators; a relation
+    among the constants or the class generators that this form does not
+    apply could only turn a zero into a False, never the reverse.
 
     Raises :class:`DomainError` on any other ``s``-dependent atom, such as
     ``2**(-s)``, ``gamma(s**2)`` or ``polygamma(0, s)``.
     """
-    return not _field(expr)[0]
+    return not _field(expr)
 
 
 def rationalize(expr) -> sp.Expr:
@@ -105,38 +105,38 @@ def rationalize(expr) -> sp.Expr:
     function of ``s`` and of Gamma factors whose classes must cancel: the
     field element of ``_field``, numerator over denominator, both free of
     common factors."""
-    element, classes = _field(expr)
-    out = element.as_expr()
-    if out.free_symbols & classes.keys():
+    out = _field(expr).as_expr()
+    if any(g.has(S) for g in out.atoms(sp.gamma)):
         raise ValueError(f"Gamma factors do not cancel in {expr}")
     return out
 
 
 def _field(expr):
-    """``expr`` in the Gamma normal form of ``_gamma_classes``, as an element
-    of the sparse rational-function field ``FracField(generators, QQ)``;
-    returns it and ``{representative: x}``.
+    """``expr`` as an element of the sparse rational-function field
+    ``FracField(generators, QQ)``.
 
-    The generators are the free symbols, the class representatives and the
-    constant atoms (``pi``, ``log(2)``, ...); ``log`` of a rational, or of a
-    product of rational powers of rationals, is first split over primes
-    (:func:`_prime_logs`).  An atom ``b`` that also occurs as ``b**(p/q)``
-    enters through the one generator ``t = b**(1/L)``, with ``L`` the least
-    common denominator of its exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a
-    rational ``b`` the relation ``t**L = b`` is applied too, and for ``I`` the
-    relation ``t**(2L) = -1``.  The expression tree is rebuilt as one
-    numerator over one denominator in the polynomial ring, summing the terms
-    over equal denominators first, and the field cancels that fraction once.
-    Nothing is expanded as a sympy expression.
+    The generators are the free symbols, the Gamma class generators and the
+    constant atoms (``pi``, ``log(2)``, ...).  Each leaf is rewritten where it
+    stands: ``Gamma(a*s + b)`` as its class generator times a rising factorial
+    in ``s`` (:func:`_gamma_class`), and ``log`` of a rational, or of a product
+    of rational powers of rationals, split over primes (:func:`_prime_logs`).
+    An atom ``b`` that also occurs as ``b**(p/q)`` enters through the one
+    generator ``t = b**(1/L)``, with ``L`` the least common denominator of its
+    exponents, so that ``sqrt(pi)**2 - pi`` is zero; for a rational ``b`` the
+    relation ``t**L = b`` is applied too, and for ``I`` the relation
+    ``t**(2L) = -1``.  The expression tree is rebuilt as one numerator over one
+    denominator in the polynomial ring, summing the terms over equal
+    denominators first, and the field cancels that fraction once.  Nothing is
+    expanded as a sympy expression.
 
     Raises :class:`DomainError` on any other ``s``-dependent atom, and
     ``ValueError`` on an infinity and on a division by zero.
     """
     from sympy.polys.fields import FracField
 
-    normal, classes = _gamma_classes(sp.sympify(expr))
+    expr = sp.sympify(expr)
     roots: dict[sp.Expr, int] = {}  # generator atom -> common denominator L
-    split: dict[sp.log, sp.Expr] = {}  # log of a rational -> its sum over primes
+    leaves: dict[sp.Expr, sp.Expr] = {}  # Gamma factor or log -> its rewritten form
 
     def collect(e):
         if e.is_Number and not e.is_finite:
@@ -150,22 +150,25 @@ def _field(expr):
             collect(e.base)
         elif e.is_Pow and e.exp.is_Rational and not (e.base.is_Add or e.base.is_Mul):
             roots[e.base] = sp.ilcm(roots.get(e.base, 1), e.exp.q)
-        elif (isinstance(e, sp.log) and not e.args[0].is_prime
-              and (logs := _prime_logs(e.args[0])) is not None):
-            split[e] = logs
-            collect(logs)
+        elif ((isinstance(e, sp.gamma) and e.has(S) and (new := _gamma_class(e)) != e)
+              or (isinstance(e, sp.log) and not e.args[0].is_prime
+                  and (new := _prime_logs(e.args[0])) is not None)):
+            leaves[e] = new
+            collect(new)
         else:
             roots.setdefault(e, 1)
 
-    collect(normal)
+    collect(expr)
     for atom, L in roots.items():
-        if atom.has(S) and (atom is not S or L > 1) or atom.is_finite is False:
+        # an s-dependent generator is s itself or a Gamma class generator
+        if (atom.has(S) and (L > 1 or atom != S and not isinstance(atom, sp.gamma))
+                or atom.is_finite is False):
             raise DomainError(f"no exact zero test: {atom} is not a rational function "
                              "of s and Gamma(a*s + b)")
-    atoms = sorted(roots, key=sp.default_sort_key)
-    field = FracField([a ** sp.Rational(1, roots[a]) for a in atoms], sp.QQ)
+    bases = sorted(roots, key=sp.default_sort_key)
+    field = FracField([b ** sp.Rational(1, roots[b]) for b in bases], sp.QQ)
     ring = field.ring
-    gens = dict(zip(atoms, ring.gens))
+    gens = dict(zip(bases, ring.gens))
 
     def power(frac, k):
         if k < 0 and not all(frac):
@@ -185,8 +188,8 @@ def _field(expr):
                           ((numer, denom) for denom, numer in over.items()))
         if e.is_Mul:
             return reduce(lambda f, g: (f[0] * g[0], f[1] * g[1]), map(rebuild, e.args))
-        if e in split:
-            return rebuild(split[e])
+        if e in leaves:
+            return rebuild(leaves[e])
         if e in gens:
             return gens[e] ** roots[e], ring.one
         if e.base in gens:
@@ -196,10 +199,10 @@ def _field(expr):
     # the generator t = b**(1/L) is algebraic for a rational b (t**L = b) and for I
     relations = [gens[b] ** L - b if b.is_Rational else gens[b] ** (2 * L) + 1
                  for b, L in roots.items() if b.is_Rational or b is sp.I]
-    numer, denom = (p.rem(relations) for p in rebuild(normal))
+    numer, denom = (p.rem(relations) for p in rebuild(expr))
     if not denom:
         raise ValueError(f"no exact zero test: division by zero in {expr}")
-    return field.new(numer, denom), classes
+    return field.new(numer, denom)
 
 
 def _prime_logs(arg: sp.Expr) -> sp.Expr | None:
@@ -215,31 +218,23 @@ def _prime_logs(arg: sp.Expr) -> sp.Expr | None:
     return sp.Add(*logs)
 
 
-def _gamma_classes(expr: sp.Expr) -> tuple[sp.Expr, dict[sp.Dummy, sp.Expr]]:
-    """``expr`` with each ``Gamma(a*s + b)`` written as its class representative
-    ``Gamma(x)``, an independent symbol, times a rising factorial in ``s``;
-    returns the rewritten expression and ``{representative: x}``.  The offset
-    ``x - a*s`` lies in ``(0, 1]``: ``Gamma(x)`` is finite and nonzero at
-    ``s = 0``, so any pole there sits in the rational factor, where it cancels
-    (``s*Gamma(s/2)/Gamma(s/2 + 1/2)`` would read ``0*oo`` with ``[0, 1)``).
+def _gamma_class(g: sp.gamma) -> sp.Expr:
+    """``g = Gamma(a*s + b)`` as its class generator ``Gamma(x)`` times the
+    rising factorial ``rf(x, n)``, with the offset ``x - a*s`` in ``(0, 1]``:
+    ``Gamma(x)`` is finite and nonzero at ``s = 0``, so any pole there sits in
+    the rational factor, where it cancels (``s*Gamma(s/2)/Gamma(s/2 + 1/2)``
+    would read ``0*oo`` with ``[0, 1)``).  A class generator is its own form.
 
     Raises :class:`DomainError` on a Gamma factor whose argument is not ``a*s + b``
     with ``a > 0`` and ``b`` rational.
     """
-    classes: dict[sp.Expr, sp.Dummy] = {}
-    normal = {}
-    for g in expr.atoms(sp.gamma):
-        arg = g.args[0]
-        if not arg.has(S):
-            continue
-        b, slope = arg.as_independent(S, as_Add=True)
-        a = slope / S
-        if not (a.is_Rational and a > 0 and b.is_Rational):
-            raise DomainError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
-        n = -(-b.p // b.q) - 1
-        x = a * S + b - n
-        normal[g] = classes.setdefault(x, sp.Dummy("Gamma")) * sp.rf(x, n)
-    return expr.xreplace(normal), {rep: x for x, rep in classes.items()}
+    b, slope = g.args[0].as_independent(S, as_Add=True)
+    a = slope / S
+    if not (a.is_Rational and a > 0 and b.is_Rational):
+        raise DomainError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
+    n = -(-b.p // b.q) - 1
+    x = a * S + b - n
+    return sp.gamma(x) * sp.rf(x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,39 +252,38 @@ def _laurent(factor: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
     ``D / s**p`` vanishes at ``s = 0``."""
     from sympy.polys.rings import PolyRing
 
-    element, classes = _field(factor)
+    element = _field(factor)
     symbols = element.field.symbols
     p = min(m[symbols.index(S)] for m in element.denom.itermonoms()) if S in symbols else 0
-    classes = {rep: x.as_coeff_Add() for rep, x in classes.items() if rep in symbols}
+    # each class generator Gamma(a*s + b) with its offset b and slope a*s
+    classes = {g: g.args[0].as_coeff_Add() for g in symbols if g.has(S) and g != S}
     # the values psi^(k)(b), never numbers, are generators of their own
     psi = {(b, k): sp.polygamma(k, b) for b, _ in classes.values() for k in range(p + 1)}
     ring = PolyRing(tuple(dict.fromkeys((S, *symbols, *psi.values()))), sp.QQ)
     gens = dict(zip(ring.symbols, ring.gens))
     s, taylor = gens[S], []
-    for rep, (b, slope) in classes.items():
+    for g, (b, slope) in classes.items():
         log = sum((gens[psi[b, k]] * (s * slope.coeff(S)) ** (k + 1) / sp.factorial(k + 1)
                    for k in range(p + 1)), ring.zero)
         exp = sum((log ** j / sp.factorial(j) for j in range(p + 2)), ring.zero)
-        taylor.append((gens[rep], gens[rep] * exp))
+        taylor.append((gens[g], gens[g] * exp))
     numer, denom = (f.set_ring(ring).compose(taylor) for f in (element.numer, element.denom))
     # 1/denom = sum_i rest**i / (lead s**p)**(i + 1), with rest = lead s**p - denom = O(s**(p+1))
     lead = denom.coeff_wrt(s, p)
     rest, terms = lead * s ** p - denom, [numer]
     for _ in range(p + 1):
         terms.append(terms[-1] * rest)
-    values = {rep: sp.gamma(b) for rep, (b, _) in classes.items()}
+    values = {g: sp.gamma(b) for g, (b, _) in classes.items()}
     if exact_zero(d0 := lead.as_expr().xreplace(values)):
         raise DomainError(f"no jet of {factor} at s = 0: D / s**{p} vanishes there")
     return tuple((k, sum(t.coeff_wrt(s, k + p * (i + 1)).as_expr().xreplace(values) / d0 ** (i + 1)
                          for i, t in enumerate(terms))) for k in range(-p, 2))
 
 
-def _jet(expr: sp.Expr, s0) -> tuple[sp.Expr, sp.Expr]:
-    """Value and first derivative at ``s = s0 = 0`` of ``expr = sum_i c_i f_i(s)``,
-    with the terms grouped by their ``s``-factor ``f_i``.  Raises ``ValueError``
-    unless ``s0 = 0``, and :class:`DomainError` unless the pole part vanishes."""
-    if s0 != 0:
-        raise ValueError(f"an SFunction is read at s = 0 only, not at s = {s0}")
+def _jet(expr: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
+    """Value and first derivative at ``s = 0`` of ``expr = sum_i c_i f_i(s)``,
+    with the terms grouped by their ``s``-factor ``f_i``.  Raises
+    :class:`DomainError` unless the pole part vanishes."""
     groups: dict[sp.Expr, sp.Expr] = {}
     for term in sp.Add.make_args(expr):
         coeff, factor = term.as_independent(S, as_Add=False)
@@ -315,7 +309,7 @@ def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
     ``1 / ((s-1)(s-2)...(s-k))``; for non-integer ``k`` the ratio vanishes at
     ``s = 0`` (simple zero from ``1/Gamma(s)``) with derivative ``Gamma(-k)``.
     """
-    return _jet(sp.gamma(S - sp.Rational(k)) / sp.gamma(S), 0)
+    return _jet(sp.gamma(S - sp.Rational(k)) / sp.gamma(S))
 
 
 # ---------------------------------------------------------------------------

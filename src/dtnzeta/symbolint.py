@@ -145,18 +145,18 @@ def _deep_transform(m: int, q: int) -> sp.Expr:
 
 def a0_density(m: int, q: int) -> sp.Expr:
     """Determinant-gluing constant density: ``+ d/ds|_0`` of the deep transform."""
-    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).deriv_at(0))
+    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).deriv_at())
 
 
 def q_density(m: int, q: int) -> sp.Expr:
     """Zeta-at-zero density: ``(1/2) F(0)`` of the deep transform."""
-    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).value_at(0) / 2)
+    return _density_display(chart(m, q), SFunction(_deep_transform(m, q)).value_at() / 2)
 
 
 def pi0_density(q: int) -> sp.Expr:
     """Leading boundary zeta density in ambient dimension 3 (from ``r_{-1}``)."""
     ch = chart(3, q)
-    return _density_display(ch, -SFunction(transform(ch, ch.resolvent()["r1"])).deriv_at(0))
+    return _density_display(ch, -SFunction(transform(ch, ch.resolvent()["r1"])).deriv_at())
 
 
 def interior_coefficient_difference(q: int) -> sp.Expr:

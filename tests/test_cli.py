@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import pytest
 import sympy as sp
 from hypothesis import example, given
@@ -48,6 +49,13 @@ class TestReports:
         again = json.dumps(parsed, sort_keys=True, separators=(",", ":"))
         assert again == text
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        rows = [{"quantity": "x", "value": value, "expression": None,
+                 "citation": "c", "status": "INFO", "error_bound": None}]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report("geom-constants", rows)
+
     def test_verify_cylinder_passes(self):
         status, report = run(RunConfig(command="verify-cylinder", m=2, q=0,
                                        a=1.0, L=2 * math.pi))
@@ -83,7 +91,11 @@ class TestReports:
     @example(40)
     @example(60)
     @example(100)
+    @example(324)
+    @example(400)
     def test_specfun_selftest_every_precision(self, dps):
+        # from dps 324 on, the float64 tolerance 10**-dps underflowed to 0.0
+        # and every riemann-zeta row FAILed
         status, report = run(RunConfig(command="specfun-selftest", dps=dps))
         assert status == 0 and json.loads(report)["status"] == "PASS"
 
@@ -119,9 +131,14 @@ class TestMain:
             f"error: schema-or-range: cylinder parameters a = {a}, L = {L} outside "
             "[1e-30, 1e+30], the float64 range of the lattice sums"]
 
-    def test_missing_file_exit_code(self, capsys):
-        assert main(["geom-constants", "--file", "/no/such/file.json"]) == 3
-        assert "file-not-found" in capsys.readouterr().err
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        # a directory ended in an IsADirectoryError traceback with exit 1
+        for path, line in (("/no/such/file.json", "error: file-not-found: /no/such/file.json"),
+                           (str(tmp_path), f"error: input: Is a directory: {tmp_path}")):
+            assert main(["geom-constants", "--file", path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [line]
 
     def test_unknown_geometry_exit_code(self, capsys):
         assert main(["geom-constants", "--geometry", "nonexistent"]) == 4
@@ -316,6 +333,25 @@ class TestMain:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: schema-or-range: {head}")
 
+    @pytest.mark.parametrize("make, node, q", [
+        pytest.param(geom.unit_disk, {"kappa": [1e308]}, "1", id="disk-kappa"),
+        pytest.param(lambda: geom.unit_ball(n_polar=2, n_azimuth=2), {"tau_M": 1e308}, "0",
+                     id="ball-tau_M"),
+    ])
+    def test_overflowing_constant_exit_code(self, tmp_path, capsys, make, node, q):
+        # finite fields whose constant overflows float64 printed a bare
+        # -Infinity or Infinity, which is not JSON, and exited 0
+        payload = json.loads(make().to_json())
+        payload["nodes"] = [{**n, **node} for n in payload["nodes"]]
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert main(["geom-constants", "--file", str(path), "--q", q]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: schema-or-range: the a0 constant of geometry ")
+        assert line.endswith(" overflows float64")
+
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
     @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])
     def test_long_and_short_cylinders(self, capsys, command, args):
@@ -390,3 +426,11 @@ class TestNegativeControls:
             ratio(k)[0], OFF * ratio(k)[1]))
         assert _failing(RunConfig(command="specfun-selftest")) == [
             f"gamma-ratio-at-zero-{k}" for k in (1, "1/2", 2)]
+
+    def test_specfun_riemann_zeta_below_float64(self, monkeypatch):
+        # at dps 400 the tolerance 1e-400 is below the float64 range; a zeta
+        # value off by 1e-395 FAILs, though both round to 0.0 in the report
+        zeta = sfunc.riemann_zeta
+        monkeypatch.setattr(sfunc, "riemann_zeta", lambda s, dps: zeta(s, dps) + mp.mpf(10) ** -395)
+        cfg = RunConfig(command="specfun-selftest", dps=400)
+        assert _failing(cfg) == [f"riemann-zeta-{s0}" for s0 in (2, 0, -1)]

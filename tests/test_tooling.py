@@ -15,10 +15,12 @@ branch in the package, and no test keeps its own ``_exact_zero``.  Neither
 heuristic simplifier, ``simplify`` or ``gammasimp``, appears in the package,
 and deriving a density does not import ``sympy.physics.units`` (which
 ``simplify`` loads); importing the CLI does not import numpy.  The Gamma
-normal form ``_gamma_classes`` is referred to only inside ``sfunc.py``; other
+normal form ``_gamma_class`` is referred to only inside ``sfunc.py``; other
 modules use ``exact_zero`` and ``rationalize``.  Both go through the one
-sparse rational-function field built in ``sfunc._field``; no module of the
-package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
+sparse rational-function field built in ``sfunc._field``, in one walk over the
+input with each Gamma factor rewritten at its leaf: ``_field`` and
+``_gamma_class`` refer to no ``xreplace``, ``atoms`` or ``Dummy``.  No module
+of the package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
 ``s = 0`` only, from that field: ``sfunc.py`` refers to no ``series``,
 ``diff``, ``subs`` or ``_branch_point``.  A resolvent trace is reduced in
 one walk into its Laurent ring, the substitutions made at the leaves:
@@ -178,7 +180,7 @@ def test_gamma_normal_form_has_one_home():
         names = [name for name, _ in _references(tree)]
         names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names]
-        if "_gamma_classes" in names:
+        if "_gamma_class" in names:
             homes.add(path.name)
     assert homes == {"sfunc.py"}
 
@@ -196,6 +198,19 @@ def test_rational_field_has_one_home():
                 normalizers.add((path.name, function, name))
     assert homes == {("sfunc.py", "_field")}
     assert not normalizers
+
+
+def test_field_is_one_walk():
+    # sfunc._field maps each Gamma factor to its class generator at its leaf,
+    # in the walk that builds the field element: no rewritten copy of the
+    # input (xreplace), no pre-pass over its atoms and no Dummy representative
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text())
+    found = []
+    for function in ("_field", "_gamma_class"):
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+        names = {name for name, _ in _references(fn)}
+        found += [f"{function}: {name}" for name in sorted(names & {"xreplace", "atoms", "Dummy"})]
+    assert not found, found
 
 
 def test_jet_is_read_at_zero_from_the_field():
