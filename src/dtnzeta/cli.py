@@ -190,7 +190,8 @@ def _load_geometry(cfg: RunConfig):
 
 
 _GOLDEN_CONSTANTS = {
-    # (label, q): (a0, zeta0) closed-form values for the canonical geometries
+    # (label, q): (a0, zeta0) closed-form values for the built-in geometries;
+    # a --file geometry gets no golden rows, whatever its label
     ("unit-disk", 0): (sp.Integer(1), sp.Integer(0)),
     ("unit-disk", 1): (1 - 2 * sp.log(2), sp.Integer(-2)),
     ("unit-ball", 0): (sp.Rational(3, 8), sp.Rational(1, 3)),
@@ -209,7 +210,7 @@ def _run_geom_constants(cfg: RunConfig) -> list[dict]:
         _row("gluing-constant", f"geometry-constant.a0.q{cfg.q}", value=a0),
         _row("zeta-zero-constant", f"geometry-constant.zeta0.q{cfg.q}", value=z0),
     ]
-    golden = _GOLDEN_CONSTANTS.get((geom.label, cfg.q))
+    golden = None if cfg.file else _GOLDEN_CONSTANTS.get((geom.label, cfg.q))
     if golden is not None:
         ga, gz = (float(v) for v in golden)
         rows.append(_check("gluing-constant-golden",

@@ -684,8 +684,7 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     distinguished boundary point (:meth:`BoundaryChart._resolve_jet`) with
     :meth:`BoundaryChart.post_integration_rules` applied, and ``|xi|_g^2`` is
     ``|xi|^2``.  Without it the jets stay generators and ``|xi|_g^2`` is
-    ``g^{ab} xi_a xi_b``, unless ``expr`` holds no jet (it was evaluated at
-    the point already).  Every denominator the calculus produces is a power
+    ``g^{ab} xi_a xi_b``.  Every denominator the calculus produces is a power
     of ``w`` or of ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so
     afterwards every denominator is a monomial in ``t`` and ``v``.  The
     remaining variables (``t, v, xi`` and the other atoms) are algebraically
@@ -706,13 +705,12 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     v = Symbol("v_princ", positive=True)
     t = Symbol("t_gap")
     symbols = _symbols(expr)
-    jets = {s: key for s in symbols if (key := _jet_key(s)) is not None}
-    xi_sq = (ch.w ** 2 - ch.lam if jets and not at_point
-             else Add(*[xi ** 2 for xi in ch.xis]))
+    xi_sq = Add(*[xi ** 2 for xi in ch.xis]) if at_point else ch.w ** 2 - ch.lam
     leaves = {ch.lam: v ** 2 - xi_sq, ch.mu: t + v}
     if at_point:
         leaves.update(ch.post_integration_rules())
-        leaves.update({s: ch._resolve_jet(*key) for s, key in jets.items()})
+        leaves.update({s: ch._resolve_jet(*key) for s in symbols
+                       if (key := _jet_key(s)) is not None})
 
     def atoms(x):
         return set().union(*map(atoms, leaves[x].free_symbols)) if x in leaves else {x}
@@ -806,16 +804,24 @@ def parametrix_defect(ch: BoundaryChart) -> dict[int, Matrix]:
 def projected_square_correction_defect(ch: BoundaryChart) -> Matrix:
     """At the base point, the projected full square must equal the square of
     the projected subprincipal symbol minus the tangential connection
-    correction ``(1/(|xi|^2+lam)) sum (omega_a omega_b)~ xi_a xi_b``."""
+    correction ``(1/(|xi|^2+lam)) sum (omega_a omega_b)~ xi_a xi_b``.
+
+    The defect is built with its jets kept, and each entry is read at the
+    point by :func:`_laurent_expansion` with its jet table.  The trace rules
+    that walk applies are true relations at the base point, and the defect
+    holds none of their symbols (``Gmm1``, ``RicM33``, ``RicM11``): it involves
+    only first jets of ``g^{ab}``, ``ln|g|`` and ``omega``, plus connection
+    values.
+    """
     _, a0f, _ = ch.alphas_full()
     a0t = ch.project(a0f)
-    lhs = ch.eval_at_boundary_point(ch.project(_mm(a0f, a0f)))
     corr = zeros(ch.n_proj, ch.n_proj)
     for a in range(ch.d):
         for b in range(ch.d):
-            corr += (ch.eval_at_boundary_point(ch.project(_mm(ch.om[a], ch.om[b])))
-                     * ch.xis[a] * ch.xis[b])
-    rhs_a0 = ch.eval_at_boundary_point(a0t)
-    rhs = _mm(rhs_a0, rhs_a0) - corr / (ch.w ** 2)
-    diff_ = lhs - ch.eval_at_boundary_point(rhs)
-    return diff_.applyfunc(lambda e: canonical_zero_form(ch, e))
+            corr += ch.project(_mm(ch.om[a], ch.om[b])) * ch.xis[a] * ch.xis[b]
+    defect = ch.project(_mm(a0f, a0f)) - (_mm(a0t, a0t) - corr / ch.w ** 2)
+
+    def zero_form(e):
+        ring, terms = _laurent_expansion(ch, e, at_point=True)
+        return ring.from_dict(terms).as_expr()
+    return defect.applyfunc(zero_form)

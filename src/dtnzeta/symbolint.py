@@ -64,53 +64,46 @@ def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
     contour and momentum integration, so applying them before it is exact.
     With the spectral parameter normalized to 1, a monomial ``t^{-j} v^k xi^e``
     is the residue ``(1/2 pi i) oint mu^{-s} (mu - w)^{-j} dmu`` times the
-    closed moment of ``xi^e w^{k-s-j+1}``, one of each per distinct
+    closed moment of ``xi^e w^{k-s-j+1}``, one weight per distinct
     ``(j, k, e)``; the polynomial ``P`` of the other atoms that multiplies them
-    is kept as it is, and the result is the sum of ``P`` times residue times
-    moment over those groups, less the monomials in the must-cancel jets
-    (:func:`_assert_cancellations`).  Raises ``ValueError`` on a monomial with
-    ``j < 1`` and on a non-Laurent factor.
+    is kept as it is.  Each term is keyed once, by its monomial in the
+    must-cancel jets and then by ``(j, k, e)``.  For every nonzero jet
+    monomial the sum of ``P`` times weight over its groups must be an exact
+    zero (:class:`CancellationError` otherwise); the result is that sum for the
+    jet-free monomial.  Raises ``ValueError`` on a monomial with ``j < 1`` and
+    on a non-Laurent factor.
     """
     ring, terms = _laurent_expansion(ch, scalar, at_point=True)
     xi_slots = [ring.symbols.index(xi) if xi in ring.symbols else None for xi in ch.xis]
-    groups = {}
+    jet_slots = [i for i, x in enumerate(ring.symbols) if x in ch.must_cancel]
+    keyed = {*range(4), *xi_slots, *jet_slots}
+    weights, by_jets = {}, {}  # jet monomial -> (j, k, e) -> coefficients of P
     for mono, c in terms.items():
         tp, tn, vp, vn = mono[:4]
-        j = tn - tp
+        j, k = tn - tp, vp - vn
         if j < 1:
             raise ValueError(f"contour order {j} < 1: no residue at mu = w")
         exps = tuple(0 if i is None else mono[i] for i in xi_slots)
         if any(e % 2 for e in exps):
             continue  # odd momentum moment: exact zero
-        rest = [0 if i < 4 or i in xi_slots else e for i, e in enumerate(mono)]
-        groups.setdefault((j, vp - vn, exps), {})[tuple(rest)] = c
-    weighted = []
-    for (j, k, exps), coeffs in groups.items():
-        pre, shift = mu_residue(j)
-        weighted.append((ring.from_dict(coeffs), pre * xi_moment(ch.d, exps, (S + shift - k) / 2)))
-    return _assert_cancellations(ch, ring, weighted)
+        key = (j, k, exps)
+        if key not in weights:
+            pre, shift = mu_residue(j)
+            weights[key] = pre * xi_moment(ch.d, exps, (S + shift - k) / 2)
+        rest = tuple(0 if i in keyed else e for i, e in enumerate(mono))
+        jets = tuple(mono[i] for i in jet_slots)
+        by_jets.setdefault(jets, {}).setdefault(key, {})[rest] = c
 
+    def total(groups):
+        return sp.Add(*[ring.from_dict(coeffs).as_expr() * weights[key]
+                        for key, coeffs in groups.items()])
 
-def _assert_cancellations(ch: BoundaryChart, ring, weighted) -> sp.Expr:
-    """``sum P * weight`` over the pairs of ``weighted`` (``P`` a polynomial
-    of ``ring``, ``weight`` an expression in ``s``) without its monomials in the
-    must-cancel jets.  The coefficient of each such monomial, summed over the
-    pairs, must be an exact zero; :class:`CancellationError` otherwise."""
-    slots = [i for i, x in enumerate(ring.symbols) if x in ch.must_cancel]
-    by_jets = {}  # monomial in the must-cancel jets -> the terms of its coefficient
-    for poly, weight in weighted:
-        parts = {}
-        for mono, c in poly.items():
-            rest = [0 if i in slots else e for i, e in enumerate(mono)]
-            parts.setdefault(tuple(mono[i] for i in slots), {})[tuple(rest)] = c
-        for jets, coeffs in parts.items():
-            by_jets.setdefault(jets, []).append(ring.from_dict(coeffs).as_expr() * weight)
-    kept = by_jets.pop((0,) * len(slots), [])
-    for jets, terms in by_jets.items():
-        if not exact_zero(coeff := sp.Add(*terms)):
-            mono = sp.Mul(*[ring.symbols[i] ** e for i, e in zip(slots, jets)])
+    kept = by_jets.pop((0,) * len(jet_slots), {})
+    for jets, groups in by_jets.items():
+        if not exact_zero(coeff := total(groups)):
+            mono = sp.Mul(*[ring.symbols[i] ** e for i, e in zip(jet_slots, jets)])
             raise CancellationError(f"jet monomial {mono} survived with coefficient {coeff}")
-    return sp.Add(*kept)
+    return total(kept)
 
 
 def transform(ch: BoundaryChart, mat) -> sp.Expr:

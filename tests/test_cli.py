@@ -352,6 +352,18 @@ class TestMain:
         assert line.startswith("error: schema-or-range: the a0 constant of geometry ")
         assert line.endswith(" overflows float64")
 
+    def test_file_labelled_as_built_in_has_no_golden_rows(self, tmp_path, capsys):
+        # golden rows were keyed by the file's own label, so this disk of
+        # curvature 2 FAILed gluing-constant-golden (residual 1.0) and exited 1
+        payload = json.loads(geom.unit_disk().to_json())
+        payload["nodes"] = [{**n, "kappa": [2.0]} for n in payload["nodes"]]
+        assert payload["label"] == "unit-disk"
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert main(["geom-constants", "--file", str(path), "--q", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["quantity"] for r in rows] == ["gluing-constant", "zeta-zero-constant"]
+
     @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
     @pytest.mark.parametrize("args", [["--a", "1", "--L", "1200"], ["--a", "0.001"]])
     def test_long_and_short_cylinders(self, capsys, command, args):

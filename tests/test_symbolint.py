@@ -1,15 +1,15 @@
 """Fiber integration: closed-form densities and the eleven-piece trace table."""
 
+from math import comb
+
 import pytest
 import sympy as sp
-from sympy.polys.rings import PolyRing
 
 from dtnzeta.sfunc import S, exact_zero, rationalize
 from dtnzeta.symbolcas import JetResolutionError, _laurent_expansion, chart
 from dtnzeta.symbolint import (
     TERM_LABELS,
     CancellationError,
-    _assert_cancellations,
     a0_density,
     a0_reference,
     a1_coefficient,
@@ -61,7 +61,7 @@ class TestBoundaryReduce:
 class TestOneWalk:
     """The walk with the jet table equals the two-step route it replaces: the
     jets substituted by ``eval_at_boundary_point`` and the trace rules by
-    ``xreplace``, then the walk without a table."""
+    ``xreplace``, then the walk of the jet-free result at the point."""
 
     @pytest.mark.parametrize("m, q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_matches_two_step_route(self, m, q):
@@ -72,7 +72,7 @@ class TestOneWalk:
             tr = sum(res[label][i, i] for i in range(ch.n_proj))
             two_step = ch.eval_at_boundary_point(tr).xreplace(ch.post_integration_rules())
             one = _laurent_expansion(ch, tr, at_point=True)
-            two = _laurent_expansion(ch, two_step)
+            two = _laurent_expansion(ch, two_step, at_point=True)
             assert one[0].from_dict(one[1]).as_expr() == two[0].from_dict(two[1]).as_expr(), label
 
     def test_unresolvable_jet_raises(self):
@@ -131,10 +131,53 @@ class TestDim2Densities:
         assert exact_zero(q_density(2, 1) + ch.kappas[0] / (2 * sp.pi))
 
 
+class TestHeatOracle:
+    """Each zeta(0) density against the boundary heat invariant of the form
+    bundle, absolute minus Dirichlet (chi = -1 on every component), with
+    f = 1: ``tr S / (2 pi)`` for m = 2, and for m = 3 the a_3 coefficient with
+    mixed boundary conditions (Vassilevich, Phys. Rep. 388 (2003) 279),
+    divided by ``384 * 4 pi``.  The traces of ``Pi_+ E``, ``S``, ``S^2`` and
+    ``chi_{:a} chi_{:a}`` are tabulated from the form bundle, not taken from
+    the boundary chart; only the curvature symbols are shared."""
+
+    @staticmethod
+    def oracle(m, q, anan_sign=-1):
+        """The heat-invariant density; ``R_anan = anan_sign * Ric(n, n)``."""
+        ch = chart(m, q)
+        if m == 2:
+            tr_s = [0, -ch.kappas[0]][q]
+            return tr_s / (2 * sp.pi)
+        k1, k2 = ch.kappas
+        tM, tY = ch.tauM, ch.tauY
+        K, L2 = k1 + k2, k1 ** 2 + k2 ** 2
+        r = comb(2, q)  # rank of Pi_+, the tangential q-forms
+        ric_nn = (tM - tY + 2 * k1 * k2) / 2  # Gauss equation
+        r_anan = anan_sign * ric_nn
+        tr_e = [0, -tM + ric_nn, -ric_nn][q]
+        tr_s = [0, -K, -K][q]
+        tr_s2 = [0, L2, K ** 2][q]
+        tr_chi = [0, 8 * L2, 8 * L2][q]
+        return (192 * tr_e + 2 * r * (16 * tM + 8 * r_anan) + 20 * r * K ** 2 - 8 * r * L2
+                + 96 * K * tr_s + 192 * tr_s2 - 12 * tr_chi) / (384 * 4 * sp.pi)
+
+    @pytest.mark.parametrize("m, q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_density_matches_oracle(self, m, q):
+        assert exact_zero(q_density(m, q) - self.oracle(m, q))
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_flipped_anan_sign_fails(self, q):
+        # negative control: R_anan = +Ric(n, n), the opposite sign convention
+        diff = self.oracle(3, q, anan_sign=1) - q_density(3, q)
+        assert not exact_zero(diff)
+        if q == 0:
+            ch = chart(3, 0)
+            k1, k2 = ch.kappas
+            assert exact_zero(diff - (2 * k1 * k2 + ch.tauM - ch.tauY) / (96 * sp.pi))
+
+
 class TestDim3Coefficients:
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_pi0_matches_fiber_dimension(self, q):
-        from math import comb
         assert exact_zero(pi0_density(q) - sp.Integer(comb(2, q)) / (8 * sp.pi))
 
     @pytest.mark.parametrize("q", [0, 1, 2])
@@ -143,7 +186,6 @@ class TestDim3Coefficients:
 
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_interior_difference(self, q):
-        from math import comb
         assert interior_coefficient_difference(q) == sp.Integer(comb(2, q)) / (8 * sp.pi)
 
 
@@ -184,37 +226,37 @@ class TestScalingDegrees:
 
 class TestAssertCancellations:
     """Every monomial in the must-cancel jets needs a zero coefficient, not
-    only the linear one; the check runs on ring polynomials weighted by their
-    factor in ``s``, as :func:`boundary_reduce` hands them over."""
+    only the linear one, summed over all the contour and momentum groups it
+    appears in: :func:`boundary_reduce` on the (3, 0) chart, with ``a`` and
+    ``b`` two must-cancel jets and ``g = mu - w``."""
 
     @staticmethod
-    def _check(ch, expr):
-        """``_assert_cancellations`` on ``expr`` split into ring polynomials,
-        one per ``s``-dependent factor."""
-        ring = PolyRing(sorted(expr.free_symbols - {S}, key=str), sp.QQ_I)
-        weighted = {}
-        for term in sp.Add.make_args(expr):
-            coeff, weight = term.as_independent(S, as_Add=False)
-            weighted[weight] = weighted.get(weight, ring.zero) + ring(coeff)
-        return _assert_cancellations(ch, ring, [(p, w) for w, p in weighted.items()])
+    def _chart():
+        ch = chart(3, 0)
+        a, b = sorted(ch.must_cancel, key=str)[:2]
+        return ch, a, b, ch.mu - ch.w
 
     @pytest.mark.parametrize("make", [
-        lambda a, b, tau: a ** 2 + tau,
-        lambda a, b, tau: a * b,
-        lambda a, b, tau: a ** 2 * sp.gamma(sp.Symbol("s")) + tau,
+        lambda ch, a, b, g: (a ** 2 + ch.tauM) / g ** 2,
+        lambda ch, a, b, g: a * b / g ** 2,
+        lambda ch, a, b, g: a ** 2 / g ** 3 + ch.tauM / g ** 2,
     ])
     def test_nonlinear_survivor_raises(self, make):
-        ch = chart(3, 0)
-        a, b = sorted(ch.must_cancel, key=str)[:2]
+        ch, a, b, g = self._chart()
         with pytest.raises(CancellationError):
-            self._check(ch, make(a, b, ch.tauM))
+            boundary_reduce(ch, make(ch, a, b, g))
 
     def test_cancelled_monomials_are_dropped(self):
-        ch = chart(3, 0)
-        a, b = sorted(ch.must_cancel, key=str)[:2]
-        s = sp.Symbol("s")
-        expr = a * b * sp.gamma(s + 1) - a * b * s * sp.gamma(s) + ch.tauM
-        assert self._check(ch, expr) == ch.tauM
+        # |xi|^2 = w^2 - 1 once lam = 1, so the three groups of a*b cancel
+        # in the sum, though each alone survives
+        ch, a, b, g = self._chart()
+        w = ch.w
+        pieces = [(ch.xis[0] ** 2 + ch.xis[1] ** 2) / (g * w ** 3), -1 / (g * w), 1 / (g * w ** 3)]
+        for piece in pieces:
+            with pytest.raises(CancellationError):
+                boundary_reduce(ch, a * b * piece)
+        expr = a * b * sp.Add(*pieces) + ch.tauM / g ** 2
+        assert boundary_reduce(ch, expr) == boundary_reduce(ch, ch.tauM / g ** 2)
 
     def test_surviving_jet_through_boundary_reduce(self):
         # d_n^2 g^{22} resolves to Gmm2, which no trace rule eliminates

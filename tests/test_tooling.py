@@ -25,7 +25,14 @@ of the package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
 ``diff``, ``subs`` or ``_branch_point``.  A resolvent trace is reduced in
 one walk into its Laurent ring, the substitutions made at the leaves:
 ``symbolint.boundary_reduce`` and ``symbolcas._laurent_expansion`` refer to no
-``expand``, ``xreplace`` or ``eval_at_boundary_point``.
+``expand``, ``xreplace`` or ``eval_at_boundary_point``, and the projected-square
+proof ``symbolcas.projected_square_correction_defect`` reads its defect at the
+point through the same walk, with neither of the last two.
+
+A ``@given`` test that fails on a generated example is reported as a failure,
+and the session runs on: ``tests/conftest.py`` imports the module Hypothesis's
+pytest plugin loads on a failure, whose import warning would otherwise end the
+session with ``INTERNALERROR`` under ``filterwarnings = ["error"]``.
 
 No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
@@ -37,6 +44,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,16 +232,18 @@ def test_jet_is_read_at_zero_from_the_field():
 def test_trace_reduction_is_one_walk():
     # a resolvent trace reaches its Laurent ring in one walk, with the jets,
     # lam and mu substituted at its leaves: no sympy tree is rebuilt by
-    # xreplace or eval_at_boundary_point before it, nor expanded after it
+    # xreplace or eval_at_boundary_point before it, nor expanded after it;
+    # the projected-square defect is read at the point by the same walk
     found = []
-    for module, function in (("symbolint.py", "boundary_reduce"),
-                             ("symbolint.py", "_assert_cancellations"),
-                             ("symbolcas.py", "_laurent_expansion")):
+    for module, function, banned in (
+            ("symbolint.py", "boundary_reduce", {"expand", "xreplace", "eval_at_boundary_point"}),
+            ("symbolcas.py", "_laurent_expansion", {"expand", "xreplace", "eval_at_boundary_point"}),
+            ("symbolcas.py", "projected_square_correction_defect",
+             {"xreplace", "eval_at_boundary_point"})):
         tree = ast.parse((ROOT / "src" / "dtnzeta" / module).read_text())
         fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
         names = {name for name, _ in _references(fn)}
-        found += [f"{function}: {name}" for name in
-                  sorted(names & {"expand", "xreplace", "eval_at_boundary_point"})]
+        found += [f"{function}: {name}" for name in sorted(names & banned)]
     assert not found, found
 
 
@@ -297,3 +307,24 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_failing_given_test_does_not_end_session(tmp_path):
+    # a falsified @given test used to end the session with INTERNALERROR, so
+    # the passing test after it never ran and the summary read "1 failed"
+    (tmp_path / "test_x.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x > 10**9\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "tests")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_x.py")],
+        env=env, capture_output=True, text=True)
+    output = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in output
+    assert re.fullmatch(r"1 failed, 1 passed in [0-9.]+s", output.strip().splitlines()[-1])
