@@ -25,42 +25,8 @@ zetadet
     verification drivers; the cylinder DtN operator only at ``s = 0``, in
     closed form.
 geom
-    Quadrature geometry specifications, curvature-integral constants, Gram
-    determinants, gluing-identity assembly, conformal-variation check.
+    Quadrature geometry specifications, curvature-integral constants,
+    conformal-variation check.
 cli
     Command line front end emitting JSON reports.
 """
-
-from .sfunc import SFunction, gamma_ratio_at_zero, mu_residue, riemann_zeta, xi_moment
-from .spectra import (
-    DtnProductSpectrum,
-    PowerSpectrum,
-    ProductSpectrum,
-    circle_form_spectrum,
-    disk_steklov_spectrum,
-    product_dtn_spectrum,
-    product_laplacian_spectra,
-)
-from .zetadet import ZetaValue, logdet_star, zeta, zeta_at_zero
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "SFunction",
-    "gamma_ratio_at_zero",
-    "mu_residue",
-    "riemann_zeta",
-    "xi_moment",
-    "PowerSpectrum",
-    "ProductSpectrum",
-    "DtnProductSpectrum",
-    "circle_form_spectrum",
-    "product_laplacian_spectra",
-    "product_dtn_spectrum",
-    "disk_steklov_spectrum",
-    "ZetaValue",
-    "zeta",
-    "zeta_at_zero",
-    "logdet_star",
-    "__version__",
-]

@@ -7,8 +7,6 @@ and boundary volume.  On top of it this module evaluates:
 * the determinant-gluing constant ``a0`` (integral of the derived boundary
   density),
 * the zeta-at-zero constant (integral of twice the derived half-density),
-* the Gram determinant of restricted harmonic forms,
-* the assembled determinant-gluing identity residual,
 * the conformal-variation identity in dimension 2.
 
 Accuracy is the node supplier's contract: the integrands are fixed polynomials
@@ -31,18 +29,14 @@ from .symbolint import a0_density, q_density
 
 __all__ = [
     "GeometrySpec",
-    "HarmonicBasis",
     "BoundaryNode",
     "a0_constant",
     "zeta0_constant",
-    "det_s",
-    "assemble_gluing_identity",
     "conformal_variation_check",
     "unit_disk",
     "unit_ball",
     "cylinder_boundary",
     "rescale",
-    "constant_harmonic_basis",
 ]
 
 
@@ -162,28 +156,6 @@ def _check_keys(obj: dict, cls) -> None:
             raise ValueError(f"unknown geometry key {key!r}, expected one of {', '.join(keys)}")
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Boundary traces of an orthonormal basis of harmonic forms.
-
-    ``traces[i][j]`` holds the components of the i-th basis form at the j-th
-    quadrature node (scalars for degree 0).
-    """
-
-    traces: tuple[tuple[tuple[float, ...], ...], ...]
-
-    def __post_init__(self):
-        if not self.traces:
-            raise ValueError("need at least one harmonic form")
-        ncomp = {len(c) for row in self.traces for c in row}
-        if len(ncomp) != 1:
-            raise ValueError("trace arrays must share a component count")
-
-    @property
-    def count(self) -> int:
-        return len(self.traces)
-
-
 # ---------------------------------------------------------------------------
 # Curvature-integral constants
 # ---------------------------------------------------------------------------
@@ -215,41 +187,6 @@ def a0_constant(geom: GeometrySpec, q: int) -> float:
 def zeta0_constant(geom: GeometrySpec, q: int) -> float:
     """Zeta value at zero plus the harmonic-space dimension, by quadrature."""
     return _quadrature(geom, q, "zeta0")
-
-
-# ---------------------------------------------------------------------------
-# Gram determinant and identity assembly
-# ---------------------------------------------------------------------------
-
-def det_s(basis: HarmonicBasis, geom: GeometrySpec) -> float:
-    """Determinant of the boundary Gram matrix of restricted harmonic forms."""
-    ell = basis.count
-    weights = np.array([n.w for n in geom.nodes])
-    arr = np.array(basis.traces, dtype=np.float64)  # (ell, nodes, comp)
-    gram = np.einsum("j,ijc,kjc->ik", weights, arr, arr)
-    sign, logabs = np.linalg.slogdet(gram)
-    if sign <= 0 or not np.isfinite(logabs):
-        raise ValueError("Gram matrix of boundary traces is singular")
-    val = float(np.exp(logabs))
-    return val
-
-
-def constant_harmonic_basis(geom: GeometrySpec) -> HarmonicBasis:
-    """The normalized constant function as a degree-0 harmonic basis."""
-    c = 1.0 / math.sqrt(geom.V)
-    return HarmonicBasis(traces=(tuple((c,) for _ in geom.nodes),))
-
-
-def assemble_gluing_identity(geom: GeometrySpec, q: int, logdet_abs: float,
-                             logdet_D: float, logdet_Q: float,
-                             basis: HarmonicBasis) -> float:
-    """Residual of the determinant-gluing identity.
-
-    ``(logdet_abs - logdet_D) - (a0 - ln det S + logdet_Q)``; for product
-    collars the curvature fields vanish and ``a0`` is identically zero.
-    """
-    a0 = a0_constant(geom, q)
-    return (logdet_abs - logdet_D) - (a0 - math.log(det_s(basis, geom)) + logdet_Q)
 
 
 # ---------------------------------------------------------------------------

@@ -437,29 +437,12 @@ class BoundaryChart:
         return sum(self._riem_Y(a, e, e, b) for e in range(self.d))
 
     @property
-    def H1(self) -> sp.Expr:
-        return sum(self.kappas) / (self.m - 1)
-
-    @property
-    def H2(self) -> sp.Expr:
-        if self.m < 3:
-            raise ValueError("second mean curvature needs boundary dimension >= 2")
-        pairs = sum(self.kappas[a] * self.kappas[b]
-                    for a in range(self.d) for b in range(a + 1, self.d))
-        return sp.Integer(2) * pairs / ((self.m - 1) * (self.m - 2))
-
-    @property
     def sum_glow_mm(self) -> sp.Expr:
         """Trace of the second normal jet of the *lower* metric at the point."""
-        h2 = self.H2 if self.m >= 3 else sp.Integer(0)
-        ty = self.tauY if self.m >= 3 else sp.Integer(0)
-        return -(self.tauM - ty - 2 * (self.m - 1) ** 2 * self.H1 ** 2
-                 + 3 * (self.m - 1) * (self.m - 2) * h2)
-
-    @property
-    def sum_gu_mm(self) -> sp.Expr:
-        """Known value of ``sum_a d_m^2 g^{aa}`` at the point."""
-        return 8 * sum(k ** 2 for k in self.kappas) - self.sum_glow_mm
+        k = self.kappas
+        if self.m == 2:
+            return 2 * k[0] ** 2 - self.tauM
+        return 2 * (k[0] + k[1]) ** 2 - 6 * k[0] * k[1] - self.tauM + self.tauY
 
     def _resolve_jet(self, fname: str, counts: tuple[int, ...]) -> sp.Expr:
         """Value of a coefficient jet at the distinguished boundary point."""
@@ -485,9 +468,13 @@ class BoundaryChart:
                                              + self._riem_Y(a, c2, c1, b))
                 if nrm == 1:
                     return _jet(f"Jgu{a}{b}m{tang.index(1)}")
-                if a == b:
+                if a != b:
+                    return _jet(f"Gmmo{a}{b}")
+                if a > 0:
                     return _jet(f"Gmm{a + 1}")
-                return _jet(f"Gmmo{a}{b}")
+                # only the trace sum_a d_m^2 g^{aa} is known: it fixes the first
+                return (8 * sum(k ** 2 for k in self.kappas) - self.sum_glow_mm
+                        - sum((_jet(f"Gmm{c + 1}") for c in range(1, d)), sp.Integer(0)))
             raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
 
         if fname == "lng":
@@ -531,28 +518,35 @@ class BoundaryChart:
         raise JetResolutionError(f"unknown coefficient function: {fname}")
 
     def _e_value_matrix(self) -> Matrix:
-        """Value of the curvature endomorphism at the point, in curvature symbols."""
+        """Value of the curvature endomorphism at the point, in curvature symbols.
+
+        For ``m = 3`` the Gauss equation gives ``Ric(n, n) = (tau_M - tau_Y)/2
+        + kappa_1 kappa_2``, and on 1-forms the trace ``tau_M`` then fixes
+        ``Ric_11``; every other Ricci entry stays a symbol in :attr:`must_cancel`.
+        """
         m, q, n = self.m, self.q, self.n_full
         if q == 0:
-            M = zeros(n, n)
-        elif m == 2:  # full Ricci endomorphism on 1-forms
+            return zeros(n, n)
+        if m == 2:  # full Ricci endomorphism on 1-forms
             r11, r12, r22 = (Symbol(s, real=True) for s in ("RicM11", "RicM12", "RicM22"))
-            M = Matrix([[-r11, -r12], [-r12, -r22]])
-        elif q == 1:  # full Ricci endomorphism on 1-forms, dim 3
+            return Matrix([[-r11, -r12], [-r12, -r22]])
+        ric_nn = (self.tauM - self.tauY) / 2 + self.kappas[0] * self.kappas[1]
+        if q == 1:  # full Ricci endomorphism on 1-forms, dim 3
             r = {(i, j): Symbol(f"RicM{min(i,j)+1}{max(i,j)+1}", real=True)
                  for i in range(3) for j in range(3)}
-            M = Matrix(3, 3, lambda i, j: -r[(i, j)])
-        else:  # q == 2, basis {e1^e2, e3^e1, e3^e2}
-            r11, r22, r33 = (Symbol(s, real=True) for s in ("RicM11", "RicM22", "RicM33"))
-            c2113 = Symbol("RM2113", real=True)
-            c1223 = Symbol("RM1223", real=True)
-            c1332 = Symbol("RM1332", real=True)
-            M = Matrix([
-                [-r33, -c2113, c1223],
-                [-c2113, -r22, c1332],
-                [c1223, c1332, -r11],
-            ])
-        return M
+            r[2, 2] = ric_nn
+            r[0, 0] = self.tauM - r[1, 1] - ric_nn
+            return Matrix(3, 3, lambda i, j: -r[(i, j)])
+        # q == 2, basis {e1^e2, e3^e1, e3^e2}
+        r11, r22 = (Symbol(s, real=True) for s in ("RicM11", "RicM22"))
+        c2113 = Symbol("RM2113", real=True)
+        c1223 = Symbol("RM1223", real=True)
+        c1332 = Symbol("RM1332", real=True)
+        return Matrix([
+            [-ric_nn, -c2113, c1223],
+            [-c2113, -r22, c1332],
+            [c1223, c1332, -r11],
+        ])
 
     def _must_cancel(self) -> frozenset[Symbol]:
         """Jet symbols that carry no curvature data and must drop out of every
@@ -560,8 +554,8 @@ class BoundaryChart:
 
         These are the mixed normal/tangential jets of ``g^{ab}`` and ``ln|g|``,
         the off-diagonal second normal jets of ``g^{ab}``, the diagonal ones
-        but the first, which :meth:`post_integration_rules` eliminates, and the
-        Ricci components of the curvature endomorphism that no trace fixes.
+        but the first, which the table resolves through their known trace, and
+        the Ricci components of the curvature endomorphism that no trace fixes.
         """
         d = self.d
         pairs = [(a, b) for a in range(d) for b in range(a, d)]
@@ -575,26 +569,6 @@ class BoundaryChart:
             (3, 2): ["RicM11", "RicM22", "RM2113", "RM1223", "RM1332"],
         }.get((self.m, self.q), [])
         return frozenset(_jet(name) for name in names)
-
-    def post_integration_rules(self) -> dict[Symbol, sp.Expr]:
-        """Substitutions resolving trace-only jet symbols.
-
-        The individual diagonal second normal metric jets and the diagonal
-        curvature-endomorphism entries are only known through their traces;
-        these rules eliminate one symbol of each family in favour of the known
-        trace.  The remaining symbols of each family are in :attr:`must_cancel`.
-        The symbols are constants of the contour and momentum integration, so
-        the rules hold for the integrated density and may be applied before
-        the integration: :func:`_laurent_expansion` applies them at its leaves.
-        """
-        gmm = [_jet(f"Gmm{a + 1}") for a in range(self.d)]
-        rules = {gmm[0]: self.sum_gu_mm - sum(gmm[1:], sp.Integer(0))}
-        if self.m == 3 and self.q >= 1:
-            ric33_val = (self.tauM - self.tauY) / 2 + self.kappas[0] * self.kappas[1]
-            rules[_jet("RicM33")] = ric33_val
-            if self.q == 1:
-                rules[_jet("RicM11")] = self.tauM - _jet("RicM22") - ric33_val
-        return rules
 
     def eval_at_boundary_point(self, expr):
         """Substitute every coefficient jet by its boundary-point value.
@@ -681,9 +655,8 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     ``lam = v**2 - |xi|_g^2`` (so ``w = sqrt(v**2) = v``), and shifts the
     spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
     With ``at_point`` every coefficient jet is replaced by its value at the
-    distinguished boundary point (:meth:`BoundaryChart._resolve_jet`) with
-    :meth:`BoundaryChart.post_integration_rules` applied, and ``|xi|_g^2`` is
-    ``|xi|^2``.  Without it the jets stay generators and ``|xi|_g^2`` is
+    distinguished boundary point (:meth:`BoundaryChart._resolve_jet`), and
+    ``|xi|_g^2`` is ``|xi|^2``.  Without it the jets stay generators and ``|xi|_g^2`` is
     ``g^{ab} xi_a xi_b``.  Every denominator the calculus produces is a power
     of ``w`` or of ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so
     afterwards every denominator is a monomial in ``t`` and ``v``.  The
@@ -708,7 +681,6 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     xi_sq = Add(*[xi ** 2 for xi in ch.xis]) if at_point else ch.w ** 2 - ch.lam
     leaves = {ch.lam: v ** 2 - xi_sq, ch.mu: t + v}
     if at_point:
-        leaves.update(ch.post_integration_rules())
         leaves.update({s: ch._resolve_jet(*key) for s in symbols
                        if (key := _jet_key(s)) is not None})
 
@@ -807,11 +779,10 @@ def projected_square_correction_defect(ch: BoundaryChart) -> Matrix:
     correction ``(1/(|xi|^2+lam)) sum (omega_a omega_b)~ xi_a xi_b``.
 
     The defect is built with its jets kept, and each entry is read at the
-    point by :func:`_laurent_expansion` with its jet table.  The trace rules
-    that walk applies are true relations at the base point, and the defect
-    holds none of their symbols (``Gmm1``, ``RicM33``, ``RicM11``): it involves
-    only first jets of ``g^{ab}``, ``ln|g|`` and ``omega``, plus connection
-    values.
+    point by :func:`_laurent_expansion` with its jet table.  The defect
+    involves only first jets of ``g^{ab}``, ``ln|g|`` and ``omega``, plus
+    connection values, so none of the values the table takes from a trace
+    (``d_n^2 g^{11}``, ``Ric(n, n)``) enters it.
     """
     _, a0f, _ = ch.alphas_full()
     a0t = ch.project(a0f)

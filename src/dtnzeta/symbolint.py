@@ -59,9 +59,9 @@ def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
 
     Expands the expression at the distinguished boundary point in
     ``t = mu - w`` and ``v = w`` in one walk (:func:`_laurent_expansion` with
-    its jet table).  The walk also applies the trace rules of
-    :meth:`BoundaryChart.post_integration_rules`; they replace constants of the
-    contour and momentum integration, so applying them before it is exact.
+    its jet table).  That table writes each jet that only a trace fixes
+    (``d_n^2 g^{11}``, and ``Ric_11`` on 1-forms in dimension 3) as the trace
+    less must-cancel jets, and ``Ric(n, n)`` by the Gauss equation.
     With the spectral parameter normalized to 1, a monomial ``t^{-j} v^k xi^e``
     is the residue ``(1/2 pi i) oint mu^{-s} (mu - w)^{-j} dmu`` times the
     closed moment of ``xi^e w^{k-s-j+1}``, one weight per distinct

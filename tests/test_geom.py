@@ -1,22 +1,17 @@
-"""Geometry quadrature: constants, Gram determinants, variations."""
+"""Geometry quadrature: the point table on model metrics, constants, variations."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+import sympy as sp
 
 from dtnzeta.geom import (
     BoundaryNode,
     GeometrySpec,
-    HarmonicBasis,
     a0_constant,
-    assemble_gluing_identity,
     conformal_variation_check,
-    constant_harmonic_basis,
     cylinder_boundary,
-    det_s,
     rescale,
     unit_ball,
     unit_disk,
@@ -25,31 +20,66 @@ from dtnzeta.geom import (
 from dtnzeta.symbolcas import chart
 
 
+R = sp.Symbol("r")
+
+
 class TestMeanCurvatures:
-    """Normalized mean curvatures ``H1``, ``H2`` of the boundary chart, from
-    which the derived densities that the constants integrate are built."""
+    """The boundary-point table against explicit metrics ``dr^2 + g_r`` in
+    boundary normal coordinates (``r`` the inward distance, ``g_r`` diagonal
+    at the point, from which only its ``r``-dependence matters here).  Each
+    jet that the table builds from the principal and scalar curvatures must
+    be the ``r``-derivative of the metric at ``r = 0``: the normal jets of
+    ``g^{aa}`` (the second only as its trace, the one value the table knows)
+    and of ``ln|g|``, and for ``m = 3`` ``Ric(n, n) = -sum_a f_a''/f_a`` with
+    ``f_a = sqrt(g_aa)`` (Riccati), which the table takes from the Gauss
+    equation into ``E = -Ric`` on 1-forms."""
 
     @staticmethod
-    def _at(m, kappas):
-        ch = chart(m, 0)
-        return ch, dict(zip(ch.kappas, kappas))
+    def _check(m, curvatures, g_lower):
+        ch = chart(m, 1)
+        at = dict(zip([*ch.kappas, ch.tauM, ch.tauY], curvatures))
 
-    def test_unit_sphere(self):
-        ch, at = self._at(3, (1, 1))
-        assert (ch.H1.subs(at), ch.H2.subs(at)) == (1, 1)
+        def table(jet):
+            return sp.expand(ch.eval_at_boundary_point(jet).subs(at))
 
-    def test_parabolic_point(self):
-        ch, at = self._at(3, (2, 0))
-        assert (ch.H1.subs(at), ch.H2.subs(at)) == (1, 0)
+        def explicit(f, order):
+            return sp.diff(f, R, order).subs(R, 0)
+
+        gu, lng = [1 / h for h in g_lower], sp.log(sp.Mul(*g_lower))
+        for a, kappa in enumerate(curvatures[:m - 1]):
+            assert table(ch.d_norm(ch.gu[a, a])) == explicit(gu[a], 1) == 2 * kappa
+        second = sum(table(ch.d_norm(ch.d_norm(ch.gu[a, a]))) for a in range(m - 1))
+        assert sp.expand(second) == explicit(sum(gu), 2)
+        assert table(ch.d_norm(ch.lng)) == explicit(lng, 1)
+        assert table(ch.d_norm(ch.d_norm(ch.lng))) == explicit(lng, 2)
+        if m == 3:
+            ric_nn = -sum(sp.diff(sp.sqrt(h), R, 2) / sp.sqrt(h) for h in g_lower)
+            assert table(-ch.E[2, 2]) == ric_nn.subs(R, 0)
+            assert sp.expand(ch.eval_at_boundary_point(ch.E).trace()) == -ch.tauM
+        return second
 
     def test_curve(self):
-        ch, at = self._at(2, (0.7,))
-        assert ch.H1.subs(at) == 0.7
+        # unit disk: kappa = 1, flat; g^{11} = (1 - r)^-2
+        assert self._check(2, (1, 0, 0), [(1 - R) ** 2]) == 6
+
+    def test_unit_sphere(self):
+        # unit ball: kappa = (1, 1), tau_M = 0, tau_Y = 2; g^{aa} = (1 - r)^-2
+        assert self._check(3, (1, 1, 0, 2), [(1 - R) ** 2] * 2) == 12
+
+    def test_parabolic_point(self):
+        # solid cylinder of radius 1/2: kappa = (2, 0), flat
+        assert self._check(3, (2, 0, 0, 0), [(1 - 2 * R) ** 2, sp.Integer(1)]) == 24
+
+    def test_totally_geodesic_hemisphere(self):
+        # hemisphere S^3_+: kappa = (0, 0), tau_M = 6, tau_Y = 2; g^{aa} = sec^2 r
+        assert self._check(3, (0, 0, 6, 2), [sp.cos(R) ** 2] * 2) == 4
 
     def test_wrong_count(self):
-        # a curve has one principal curvature, too few for H2
-        with pytest.raises(ValueError):
-            chart(2, 0).H2
+        # a curve has one principal curvature, a surface two: the lambdified
+        # densities take exactly m - 1 of them
+        for m, kappa in ((2, (1.0, 1.0)), (3, (1.0,))):
+            with pytest.raises(ValueError, match="m-1 principal curvatures"):
+                GeometrySpec(m=m, nodes=(BoundaryNode(w=1.0, kappa=kappa),), V=1.0, ellY=1.0)
 
 
 class TestGeometrySpec:
@@ -103,73 +133,6 @@ class TestScalingInvariance:
         for q in qs:
             assert abs(a0_constant(r, q) - a0_constant(g, q)) < 1e-12
             assert abs(zeta0_constant(r, q) - zeta0_constant(g, q)) < 1e-12
-
-
-class TestGram:
-    def test_cylinder_constant_basis(self):
-        a, L = 1.5, 2 * math.pi
-        c = cylinder_boundary(a, L)
-        assert abs(det_s(constant_harmonic_basis(c), c) - 2 / a) < 1e-12
-
-    def test_disk_constant_basis(self):
-        d = unit_disk()
-        assert abs(det_s(constant_harmonic_basis(d), d) - d.ellY / d.V) < 1e-12
-
-    @given(st.floats(min_value=0.1, max_value=5.0))
-    def test_scaling_bilinearity(self, c):
-        d = unit_disk(32)
-        base = constant_harmonic_basis(d)
-        scaled = HarmonicBasis(traces=tuple(
-            tuple(tuple(c * x for x in comp) for comp in row) for row in base.traces))
-        assert abs(det_s(scaled, d) - c ** 2 * det_s(base, d)) < 1e-10 * max(1.0, c ** 2)
-
-    @given(st.floats(min_value=0.0, max_value=2 * math.pi))
-    def test_orthogonal_invariance(self, angle):
-        d = unit_disk(32)
-        n = len(d.nodes)
-        th = np.arange(n) * 2 * math.pi / n
-        raw = np.stack([np.ones(n), np.cos(th)]) / math.sqrt(math.pi)
-        rot = np.array([[math.cos(angle), -math.sin(angle)],
-                        [math.sin(angle), math.cos(angle)]])
-        mixed = rot @ raw
-        basis = HarmonicBasis(traces=tuple(
-            tuple((float(x),) for x in row) for row in raw))
-        basis_rot = HarmonicBasis(traces=tuple(
-            tuple((float(x),) for x in row) for row in mixed))
-        assert abs(det_s(basis, d) - det_s(basis_rot, d)) < 1e-12 * det_s(basis, d)
-
-    def test_singular_gram_reported(self):
-        d = unit_disk(8)
-        dup = constant_harmonic_basis(d).traces[0]
-        with pytest.raises(ValueError):
-            det_s(HarmonicBasis(traces=(dup, dup)), d)
-
-
-class TestAssembly:
-    def test_cylinder_closed_form(self):
-        from dtnzeta.spectra import circle_form_spectrum, product_dtn_spectrum
-        from dtnzeta.zetadet import logdet_star
-        a, L = 1.0, 2 * math.pi
-        c = cylinder_boundary(a, L)
-        basis = constant_harmonic_basis(c)
-        N = circle_form_spectrum(L, 0)
-        ld_n = logdet_star(N).value
-        ld_q = logdet_star(product_dtn_spectrum(a, L, 0)).value
-        res = assemble_gluing_identity(c, 0, logdet_abs=ld_n, logdet_D=0.0,
-                                       logdet_Q=ld_q, basis=basis)
-        assert abs(res) < 1e-10
-
-    def test_negative_control(self):
-        # doubling det S shifts the residual by exactly ln 2
-        a, L = 1.0, 2 * math.pi
-        c = cylinder_boundary(a, L)
-        basis = constant_harmonic_basis(c)
-        wrong = HarmonicBasis(traces=tuple(
-            tuple(tuple(math.sqrt(2) * x for x in comp) for comp in row)
-            for row in basis.traces))
-        r0 = assemble_gluing_identity(c, 0, 1.0, 0.0, 1.0, basis)
-        r1 = assemble_gluing_identity(c, 0, 1.0, 0.0, 1.0, wrong)
-        assert abs((r1 - r0) - math.log(2)) < 1e-12
 
 
 class TestConformalVariation:

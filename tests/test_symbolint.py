@@ -60,8 +60,8 @@ class TestBoundaryReduce:
 
 class TestOneWalk:
     """The walk with the jet table equals the two-step route it replaces: the
-    jets substituted by ``eval_at_boundary_point`` and the trace rules by
-    ``xreplace``, then the walk of the jet-free result at the point."""
+    jets substituted by ``eval_at_boundary_point``, then the walk of the
+    jet-free result at the point."""
 
     @pytest.mark.parametrize("m, q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_matches_two_step_route(self, m, q):
@@ -70,7 +70,7 @@ class TestOneWalk:
         labels = ["r1", "r2", "r3" if m == 3 else "r2"] + (list(TERM_LABELS) if m == 3 else [])
         for label in dict.fromkeys(labels):
             tr = sum(res[label][i, i] for i in range(ch.n_proj))
-            two_step = ch.eval_at_boundary_point(tr).xreplace(ch.post_integration_rules())
+            two_step = ch.eval_at_boundary_point(tr)
             one = _laurent_expansion(ch, tr, at_point=True)
             two = _laurent_expansion(ch, two_step, at_point=True)
             assert one[0].from_dict(one[1]).as_expr() == two[0].from_dict(two[1]).as_expr(), label
@@ -259,7 +259,7 @@ class TestAssertCancellations:
         assert boundary_reduce(ch, expr) == boundary_reduce(ch, ch.tauM / g ** 2)
 
     def test_surviving_jet_through_boundary_reduce(self):
-        # d_n^2 g^{22} resolves to Gmm2, which no trace rule eliminates
+        # d_n^2 g^{22} resolves to Gmm2, which no trace fixes
         ch = chart(3, 0)
         gmm2 = ch.d_norm(ch.d_norm(ch.gu[1, 1]))
         with pytest.raises(CancellationError, match="Gmm2"):
