@@ -123,7 +123,10 @@ class GeometrySpec:
 
     @staticmethod
     def from_json(text: str) -> "GeometrySpec":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("a geometry file nests its JSON too deeply to parse") from None
         if not isinstance(payload, dict):
             raise ValueError(
                 f"a geometry file must hold a JSON object, got {type(payload).__name__}")
@@ -162,11 +165,15 @@ def _check_keys(obj: dict, cls) -> None:
 
 @lru_cache(maxsize=None)
 def _density_fn(m: int, q: int, kind: str):
-    """Lambdified boundary density: ``a0`` density or zeta-at-zero density."""
+    """Lambdified boundary density: ``a0`` density or zeta-at-zero density.
+
+    The density goes through its polynomial in the curvature fields, so the
+    arithmetic does not depend on how the density happens to be printed.
+    """
     ch = chart(m, q)
     expr = a0_density(m, q) if kind == "a0" else 2 * q_density(m, q)
     args = list(ch.kappas) + [ch.tauM, ch.tauY]
-    return sp.lambdify(args, expr, modules="math")
+    return sp.lambdify(args, sp.Poly(expr, *args).as_expr(), modules="math")
 
 
 def _quadrature(geom: GeometrySpec, q: int, kind: str) -> float:

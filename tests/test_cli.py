@@ -333,14 +333,32 @@ class TestMain:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: schema-or-range: {head}")
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100000 + "]" * 100000, id="deep-array"),
+        pytest.param('{"m": 2, "nodes": ' + "[" * 5000 + "]" * 5000 + ', "V": 1, "ellY": 1}',
+                     id="deep-nodes"),
+    ])
+    def test_deeply_nested_geometry_exit_code(self, tmp_path, capsys, text):
+        # json.loads raised RecursionError: a 31-line traceback and exit 1,
+        # the status of a report with a FAIL row
+        path = tmp_path / "geometry.json"
+        path.write_text(text)
+        assert main(["geom-constants", "--file", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: schema-or-range: a geometry file nests its JSON too deeply to parse"]
+
     @pytest.mark.parametrize("make, node, q", [
-        pytest.param(geom.unit_disk, {"kappa": [1e308]}, "1", id="disk-kappa"),
-        pytest.param(lambda: geom.unit_ball(n_polar=2, n_azimuth=2), {"tau_M": 1e308}, "0",
-                     id="ball-tau_M"),
+        pytest.param(lambda: geom.rescale(geom.unit_disk(), 10.0), {"kappa": [1e308]}, "1",
+                     id="disk-kappa"),
+        pytest.param(lambda: geom.rescale(geom.unit_ball(n_polar=2, n_azimuth=2), 6.0),
+                     {"tau_M": 1e308}, "0", id="ball-tau_M"),
     ])
     def test_overflowing_constant_exit_code(self, tmp_path, capsys, make, node, q):
         # finite fields whose constant overflows float64 printed a bare
-        # -Infinity or Infinity, which is not JSON, and exited 0
+        # -Infinity or Infinity, which is not JSON, and exited 0; here the a0
+        # constants are -3.9e308 and 2.2e308
         payload = json.loads(make().to_json())
         payload["nodes"] = [{**n, **node} for n in payload["nodes"]]
         path = tmp_path / "geometry.json"
@@ -351,6 +369,17 @@ class TestMain:
         [line] = captured.err.splitlines()
         assert line.startswith("error: schema-or-range: the a0 constant of geometry ")
         assert line.endswith(" overflows float64")
+
+    def test_large_constant_within_range(self, tmp_path, capsys):
+        # the constants are 6.25e306 and 1.25e307, but the printed density
+        # (... + 4*tauM - 4*tauY)/(256*pi) overflowed at 4*tauM and exited 4
+        payload = json.loads(geom.unit_ball(n_polar=2, n_azimuth=2).to_json())
+        payload["nodes"] = [{**n, "tau_M": 1e308} for n in payload["nodes"]]
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert main(["geom-constants", "--file", str(path), "--q", "0"]) == 0
+        values = [r["value"] for r in json.loads(capsys.readouterr().out)["rows"]]
+        assert values == pytest.approx([1e308 / 16, 1e308 / 8], rel=1e-12)
 
     def test_file_labelled_as_built_in_has_no_golden_rows(self, tmp_path, capsys):
         # golden rows were keyed by the file's own label, so this disk of

@@ -9,6 +9,7 @@ import sympy as sp
 from dtnzeta.geom import (
     BoundaryNode,
     GeometrySpec,
+    _density_fn,
     a0_constant,
     conformal_variation_check,
     cylinder_boundary,
@@ -100,6 +101,20 @@ class TestGeometrySpec:
 
 
 class TestConstants:
+    def test_constant_does_not_depend_on_density_print(self, monkeypatch):
+        # the printed density was lambdified, so these two prints of a0(2, 1)
+        # gave -0.38629436111989085 and -0.3862943611198909 on this disk
+        g = rescale(unit_disk(), 1.3)
+        kappa = chart(2, 1).kappas[0]
+        values = []
+        for form in ((-2 * kappa * sp.log(2) + kappa) / (2 * sp.pi),
+                     kappa * (1 - 2 * sp.log(2)) / (2 * sp.pi)):
+            monkeypatch.setattr("dtnzeta.geom.a0_density", lambda m, q, form=form: form)
+            _density_fn.cache_clear()
+            values.append(a0_constant(g, 1))
+        _density_fn.cache_clear()
+        assert values[0] == values[1]
+
     def test_disk(self):
         d = unit_disk()
         assert abs(a0_constant(d, 0) - 1.0) < 1e-12

@@ -4,7 +4,10 @@ Every name the traced benchmark run wraps must exist on the package:
 ``perfbench/tracing.py`` wraps functions and methods at the names listed in
 its ``TARGETS`` table, and a rename or deletion in the package would break the
 traced run.  The table is read from the file's source, so nothing under
-``perfbench/`` is imported or written.
+``perfbench/`` is imported or written.  Every name of a module's
+``__all__`` must have a caller: the package, a script or the benchmark
+refers to it, or the tracer wraps it.  The one name that only tests reach is
+``symbolint.q_density_reference``, the paper's table of the zeta(0) densities.
 
 The numeric layer (``spectra``, ``zetadet``) imports no sympy itself, so the
 computer algebra system stays in the symbolic modules.
@@ -86,6 +89,30 @@ def test_all_names_exist():
         mod = importlib.import_module(name)
         absent = [n for n in mod.__all__ if not hasattr(mod, n)]
         assert not absent, f"{name}.__all__ lists missing names {absent}"
+
+
+# public names that only tests reach: the paper's table of zeta(0) densities,
+# the reference q_density is compared with, until a report row reads it
+TEST_ONLY = {"symbolint.q_density_reference"}
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ must be read by the package, a script or
+    # the benchmark (a tracer target counts), not by tests alone
+    used = {part for _, attr, _ in _tracer_targets() for part in attr.split(".")}
+    for path in [*(ROOT / "src" / "dtnzeta").glob("*.py"), *(ROOT / "scripts").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    uncalled = {f"{module}.{name}" for module in MODULES
+                for name in importlib.import_module(f"dtnzeta.{module}").__all__
+                if name not in used}
+    assert uncalled == TEST_ONLY
 
 
 @pytest.mark.parametrize("module", ["spectra", "zetadet"])
