@@ -146,7 +146,7 @@ def _run_derive_terms(cfg: RunConfig) -> list[dict]:
 
 def _run_verify_cylinder(cfg: RunConfig) -> list[dict]:
     from .zetadet import verify_product_gluing
-    out = verify_product_gluing(cfg.a, cfg.L, cfg.q, cfg.dps)
+    out = verify_product_gluing(cfg.a, cfg.L, cfg.q)
     rows = [
         _check("dtn-logdet-identity", "cylinder.dtn-logdet", out["logdet_identity"], 1e-10),
         _check("zeta-difference-s2", "cylinder.zeta-difference",
@@ -163,7 +163,7 @@ def _run_verify_cylinder(cfg: RunConfig) -> list[dict]:
 
 def _run_verify_zeta_zero(cfg: RunConfig) -> list[dict]:
     from .zetadet import zeta_zero_identity_sides
-    lhs, rhs = zeta_zero_identity_sides(cfg.a, cfg.L, cfg.q, cfg.dps)
+    lhs, rhs = zeta_zero_identity_sides(cfg.a, cfg.L, cfg.q)
     return [
         _row("zeta-zero-lhs", "cylinder.zeta-zero-identity", value=lhs),
         _row("zeta-zero-rhs", "cylinder.zeta-zero-identity", value=rhs),
@@ -318,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--file", default="", help="geometry JSON file")
     parser.add_argument("--output", default="", help="write the JSON report here")
     parser.add_argument("--dps", type=int, default=30,
-                        help="working precision in decimal digits")
+                        help="working precision of specfun-selftest in decimal digits "
+                             "(the cylinder reports are float64 and do not depend on it)")
     return parser
 
 

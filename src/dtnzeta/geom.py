@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -94,8 +94,10 @@ class GeometrySpec:
             raise ValueError("only interior dimensions 2 and 3 are supported")
         if self.V <= 0 or self.ellY <= 0:
             raise ValueError("volumes must be positive")
+        if not self.nodes:
+            raise ValueError("a geometry needs at least one boundary node")
         wsum = sum(n.w for n in self.nodes)
-        if not self.nodes or any(n.w <= 0 for n in self.nodes):
+        if any(n.w <= 0 for n in self.nodes):
             raise ValueError("quadrature weights must be positive")
         if abs(wsum - self.ellY) > 1e-12 * max(1.0, self.ellY):
             raise ValueError(
@@ -152,11 +154,15 @@ class GeometrySpec:
 
 
 def _check_keys(obj: dict, cls) -> None:
-    """Reject a geometry-file key that names no field of ``cls``."""
+    """Reject a geometry-file key that names no field of ``cls``, and a missing
+    field of ``cls`` that has no default."""
     keys = [f.name for f in fields(cls)]
     for key in obj:
         if key not in keys:
             raise ValueError(f"unknown geometry key {key!r}, expected one of {', '.join(keys)}")
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING:
+            raise ValueError(f"geometry field {f.name!r} is missing")
 
 
 # ---------------------------------------------------------------------------

@@ -51,35 +51,23 @@ class PowerSpectrum:
 class ProductSpectrum:
     """Form Laplacian on ``[0, a] x N`` as families over cross-section modes.
 
-    With absolute boundary conditions the degree-``q`` cross-section family
-    carries interval modes ``(k pi / a)**2`` for ``k >= 0`` and the degree
-    ``q-1`` family for ``k >= 1``; with Dirichlet conditions both families
+    Each family pairs a cross-section spectrum with the first interval mode
+    ``k`` of the ``(k pi / a)**2`` it carries.  With absolute boundary
+    conditions the degree-``q`` cross-section family starts at ``k = 0`` and
+    the degree ``q-1`` family at ``k = 1``; with Dirichlet conditions both
     start at ``k = 1``.
     """
 
     a: float
-    bc: str  # "absolute" | "dirichlet"
-    base_q: PowerSpectrum
-    base_qm1: PowerSpectrum | None
-
-    def __post_init__(self):
-        if self.bc not in ("absolute", "dirichlet"):
-            raise ValueError("boundary condition must be 'absolute' or 'dirichlet'")
-
-    def _families(self):
-        """Yield ``(base_spectrum, k_start)`` per family."""
-        k0 = 0 if self.bc == "absolute" else 1
-        yield self.base_q, k0
-        if self.base_qm1 is not None:
-            yield self.base_qm1, 1
+    families: tuple[tuple[PowerSpectrum, int], ...]
 
 
 @dataclass(frozen=True)
 class DtnProductSpectrum:
     """DtN spectrum of ``[0, a] x N`` at zero spectral parameter.
 
-    Besides the ``kernel_dim`` zero modes and their paired ``2/a`` branch, each
-    positive cross-section eigenvalue ``lam`` contributes the branch pair
+    Besides the cross-section's zero modes and their paired ``2/a`` branch,
+    each positive cross-section eigenvalue ``lam`` contributes the branch pair
     ``sqrt(lam) (1 + 2/(e^x - 1))`` and ``sqrt(lam) (1 - 2/(e^x + 1))`` with
     ``x = a sqrt(lam)``.  Each pair multiplies to ``lam``, so its log-determinant
     and its zeta at 0 are closed forms in the cross-section ones; those are the
@@ -88,10 +76,6 @@ class DtnProductSpectrum:
 
     a: float
     base_q: PowerSpectrum
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.base_q.kernel_dim
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +96,9 @@ def circle_form_spectrum(L: float, q: int) -> PowerSpectrum:
 def product_laplacian_spectra(a: float, L: float, q: int) -> tuple[ProductSpectrum, ProductSpectrum]:
     """Absolute and Dirichlet form Laplacian spectra on ``[0, a] x S^1_L``."""
     base_q = circle_form_spectrum(L, q)
-    base_qm1 = circle_form_spectrum(L, q - 1) if q >= 1 else None
-    return (ProductSpectrum(a=a, bc="absolute", base_q=base_q, base_qm1=base_qm1),
-            ProductSpectrum(a=a, bc="dirichlet", base_q=base_q, base_qm1=base_qm1))
+    lower = ((circle_form_spectrum(L, q - 1), 1),) if q >= 1 else ()
+    return (ProductSpectrum(a, ((base_q, 0),) + lower),
+            ProductSpectrum(a, ((base_q, 1),) + lower))
 
 
 def product_dtn_spectrum(a: float, L: float, q: int) -> DtnProductSpectrum:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from . import spectra
 from .sfunc import riemann_zeta, zeta_deriv_at
-from .spectra import DtnProductSpectrum, PowerSpectrum, ProductSpectrum
 
 __all__ = [
     "ZetaValue",
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _UNIT = 2.0 ** -53  # float64 unit roundoff
+# working digits of every mpmath closed form: each value leaves this module as
+# a float64, so a higher precision cannot change it
+_DPS = 30
 _KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1, in ulp
 _REMAINDER_DIGITS = 20  # Bessel-K remainder terms kept until e^{-2 pi r m} < 1e-20
 # accepted cylinder lengths a, L: the lattice sums raise pi/a and 2 pi/L to
@@ -121,9 +124,9 @@ def interval_mode_sum(s: int, t):
 # Zeta evaluation per structural tag
 # ---------------------------------------------------------------------------
 
-def _zeta_affine(spec: PowerSpectrum, s, dps: int = 30) -> ZetaValue:
-    with mp.workdps(dps):
-        val = spec.mult * mp.power(spec.coeff, -mp.mpf(s)) * riemann_zeta(spec.power * mp.mpf(s), dps)
+def _zeta_affine(spec: spectra.PowerSpectrum, s) -> ZetaValue:
+    with mp.workdps(_DPS):
+        val = spec.mult * mp.power(spec.coeff, -mp.mpf(s)) * riemann_zeta(spec.power * mp.mpf(s), _DPS)
         return ZetaValue(float(val), _float_rounding(val), "affine-closed-form")
 
 
@@ -166,19 +169,19 @@ def _lattice_sum(s: int, alpha: float, beta: float, zeta_odd: float,
     return scale * total, float(scale * (trunc + rounding))
 
 
-def _zeta_product(spec: ProductSpectrum, s, dps: int = 30) -> ZetaValue:
+def _zeta_product(spec: spectra.ProductSpectrum, s) -> ZetaValue:
     s = float(s)
     if s == 0:
-        return _zeta_product_at_zero(spec, dps)
+        return _zeta_product_at_zero(spec)
     if s not in (2, 3):
         raise ValueError("product-lattice zeta implemented at s in {2, 3} and s = 0")
     s = int(s)
     alpha = math.pi / spec.a
-    zeta_odd = float(riemann_zeta(2 * s - 1, dps))
-    zeta_even = float(riemann_zeta(2 * s, dps))
+    zeta_odd = float(riemann_zeta(2 * s - 1, _DPS))
+    zeta_even = float(riemann_zeta(2 * s, _DPS))
     terms = []
     err = 0.0
-    for base, k0 in spec._families():
+    for base, k0 in spec.families:
         if base.power != 2:
             raise ValueError("product-lattice zeta needs a cross-section spectrum coeff * n**2")
         beta = math.sqrt(base.coeff)
@@ -196,7 +199,7 @@ def _zeta_product(spec: ProductSpectrum, s, dps: int = 30) -> ZetaValue:
     return ZetaValue(math.fsum(terms), err, "chowla-selberg-lattice")
 
 
-def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
+def _zeta_product_at_zero(spec: spectra.ProductSpectrum) -> ZetaValue:
     """Analytic continuation at ``s = 0`` of a product-lattice zeta.
 
     Each interval-mode family continues to ``-(1/2)`` times its weight at 0:
@@ -205,10 +208,10 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
     ``-(d/2)``; starting the interval modes at ``k = 0`` adds the
     cross-section zeta at 0 back once.
     """
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         total = magnitude = mp.mpf(0)
-        for base, k0 in spec._families():
-            base_zeta0 = base.mult * riemann_zeta(0, dps)  # continuation of positive part
+        for base, k0 in spec.families:
+            base_zeta0 = base.mult * riemann_zeta(0, _DPS)  # continuation of positive part
             total += -mp.mpf(base.kernel_dim) / 2 - base_zeta0 / 2
             magnitude += mp.mpf(base.kernel_dim) / 2 + abs(base_zeta0) / 2
             if k0 == 0:
@@ -217,7 +220,7 @@ def _zeta_product_at_zero(spec: ProductSpectrum, dps: int = 30) -> ZetaValue:
         return ZetaValue(float(total), _float_rounding(total, magnitude), "family-continuation")
 
 
-def _zeta_dtn_at_zero(spec: DtnProductSpectrum, dps: int = 30) -> ZetaValue:
+def _zeta_dtn_at_zero(spec: spectra.DtnProductSpectrum) -> ZetaValue:
     """DtN zeta at 0 in closed form: ``kernel_dim + 2 zeta_base(0)``.
 
     The DtN zeta is the zero-mode branch ``(2/a)^{-s}``, twice the
@@ -226,47 +229,47 @@ def _zeta_dtn_at_zero(spec: DtnProductSpectrum, dps: int = 30) -> ZetaValue:
     exponentially and vanishes term by term at ``s = 0``; the zero-mode branch
     is 1 there.
     """
-    with mp.workdps(dps):
-        base = _zeta_affine(spec.base_q, 0, dps)
-        total = spec.kernel_dim + 2 * mp.mpf(base.value)
-        magnitude = spec.kernel_dim + 2 * abs(base.value)
+    with mp.workdps(_DPS):
+        base = _zeta_affine(spec.base_q, 0)
+        total = spec.base_q.kernel_dim + 2 * mp.mpf(base.value)
+        magnitude = spec.base_q.kernel_dim + 2 * abs(base.value)
         err = 2 * base.error_bound + _float_rounding(total, magnitude)
         return ZetaValue(float(total), err, "dtn-closed-form")
 
 
-def zeta(stream, s, dps: int = 30) -> ZetaValue:
+def zeta(stream, s) -> ZetaValue:
     """Spectral zeta function of a model spectrum at real ``s`` (kernel excluded)."""
-    if isinstance(stream, PowerSpectrum):
-        return _zeta_affine(stream, s, dps)
-    if isinstance(stream, ProductSpectrum):
-        return _zeta_product(stream, s, dps)
-    if isinstance(stream, DtnProductSpectrum):
+    if isinstance(stream, spectra.PowerSpectrum):
+        return _zeta_affine(stream, s)
+    if isinstance(stream, spectra.ProductSpectrum):
+        return _zeta_product(stream, s)
+    if isinstance(stream, spectra.DtnProductSpectrum):
         if s != 0:
             raise ValueError("DtN zeta implemented at s = 0 only, in closed form "
                              "kernel_dim + 2 zeta_base(0)")
-        return _zeta_dtn_at_zero(stream, dps)
+        return _zeta_dtn_at_zero(stream)
     raise TypeError(f"unknown spectrum {type(stream)!r}")
 
 
-def zeta_at_zero(stream, dps: int = 30) -> ZetaValue:
-    return zeta(stream, 0, dps)
+def zeta_at_zero(stream) -> ZetaValue:
+    return zeta(stream, 0)
 
 
-def logdet_star(stream, dps: int = 30) -> ZetaValue:
+def logdet_star(stream) -> ZetaValue:
     """Zeta-regularized log-determinant ``-zeta'(0)``, kernel excluded."""
-    with mp.workdps(dps):
-        if isinstance(stream, PowerSpectrum):
+    with mp.workdps(_DPS):
+        if isinstance(stream, spectra.PowerSpectrum):
             # -d/ds [mult c^{-s} zeta_R(p s)] at 0
-            log_part = mp.log(stream.coeff) * riemann_zeta(0, dps)
-            zeta_part = stream.power * zeta_deriv_at(0, dps)
+            log_part = mp.log(stream.coeff) * riemann_zeta(0, _DPS)
+            zeta_part = stream.power * zeta_deriv_at(0, _DPS)
             val = stream.mult * (log_part - zeta_part)
             err = _float_rounding(val, stream.mult * (abs(log_part) + abs(zeta_part)))
             return ZetaValue(float(val), err, "affine-closed-form")
-        if isinstance(stream, DtnProductSpectrum):
+        if isinstance(stream, spectra.DtnProductSpectrum):
             # each branch pair multiplies to lam, so the pairs give logdet*
             # of the cross-section and the zero-mode branches ln(2/a) each
-            base = logdet_star(stream.base_q, dps)
-            part = stream.kernel_dim * mp.log(2 / mp.mpf(stream.a))
+            base = logdet_star(stream.base_q)
+            part = stream.base_q.kernel_dim * mp.log(2 / mp.mpf(stream.a))
             magnitude = abs(part) + abs(base.value)
             part += base.value
             err = base.error_bound + _float_rounding(part, magnitude)
@@ -285,7 +288,7 @@ def _check_cylinder(a: float, L: float) -> None:
                          f"[{lo:g}, {hi:g}], the float64 range of the lattice sums")
 
 
-def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
+def verify_product_gluing(a: float, L: float, q: int) -> dict:
     """All cylinder checks for ``[0, a] x S^1_L`` on degree-``q`` forms.
 
     Returns a dict of labelled residuals:
@@ -308,33 +311,31 @@ def verify_product_gluing(a: float, L: float, q: int, dps: int = 30) -> dict:
     Raises ``ValueError`` unless ``a`` and ``L`` lie in ``_CYLINDER_RANGE``.
     """
     _check_cylinder(a, L)
-    from .spectra import (circle_form_spectrum, product_dtn_spectrum,
-                          product_laplacian_spectra)
     out = {}
-    with mp.workdps(dps):
-        N = circle_form_spectrum(L, q)
-        dtn = product_dtn_spectrum(a, L, q)
-        sabs, sdir = product_laplacian_spectra(a, L, q)
+    with mp.workdps(_DPS):
+        N = spectra.circle_form_spectrum(L, q)
+        dtn = spectra.product_dtn_spectrum(a, L, q)
+        sabs, sdir = spectra.product_laplacian_spectra(a, L, q)
 
-        ld_q = logdet_star(dtn, dps)
-        ld_n = logdet_star(N, dps)
+        ld_q = logdet_star(dtn)
+        ld_n = logdet_star(N)
         ell = N.kernel_dim
         out["logdet_identity"] = abs(ld_q.value - ell * float(mp.log(2 / mp.mpf(a)))
                                      - ld_n.value)
 
         for s in (2, 3):
-            za = zeta(sabs, s, dps)
-            zd = zeta(sdir, s, dps)
-            zn = zeta(N, s, dps)
+            za = zeta(sabs, s)
+            zd = zeta(sdir, s)
+            zn = zeta(N, s)
             out[f"zeta_diff_s{s}"] = abs(za.value - zd.value - zn.value)
             out[f"zeta_diff_s{s}_bound"] = za.error_bound + zd.error_bound + zn.error_bound
 
-        out["zeta_q_at_zero"] = zeta_at_zero(dtn, dps).value
-        out["zeta_q_at_zero_expected"] = ell + 2 * zeta_at_zero(N, dps).value
+        out["zeta_q_at_zero"] = zeta_at_zero(dtn).value
+        out["zeta_q_at_zero_expected"] = ell + 2 * zeta_at_zero(N).value
     return out
 
 
-def zeta_zero_identity_sides(a: float, L: float, q: int, dps: int = 30) -> tuple[float, float]:
+def zeta_zero_identity_sides(a: float, L: float, q: int) -> tuple[float, float]:
     """Both sides of the zeta-at-zero gluing identity, computed independently.
 
     LHS: DtN zeta at 0 plus the kernel dimension (closed form
@@ -345,10 +346,9 @@ def zeta_zero_identity_sides(a: float, L: float, q: int, dps: int = 30) -> tuple
     lie in ``_CYLINDER_RANGE``.
     """
     _check_cylinder(a, L)
-    from .spectra import product_dtn_spectrum, product_laplacian_spectra
-    dtn = product_dtn_spectrum(a, L, q)
-    sabs, sdir = product_laplacian_spectra(a, L, q)
-    ell = dtn.kernel_dim
-    lhs = zeta_at_zero(dtn, dps).value + ell
-    rhs = 2 * ((zeta_at_zero(sabs, dps).value + ell) - zeta_at_zero(sdir, dps).value)
+    dtn = spectra.product_dtn_spectrum(a, L, q)
+    sabs, sdir = spectra.product_laplacian_spectra(a, L, q)
+    ell = dtn.base_q.kernel_dim
+    lhs = zeta_at_zero(dtn).value + ell
+    rhs = 2 * ((zeta_at_zero(sabs).value + ell) - zeta_at_zero(sdir).value)
     return lhs, rhs

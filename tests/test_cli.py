@@ -321,10 +321,24 @@ class TestMain:
                      id="node-key-misspelt"),
         pytest.param("unknown geometry key 'lable', expected one of m, nodes, V, ellY, label",
                      lambda g: {**g, "lable": "disk"}, id="top-key-misspelt"),
+        pytest.param("a geometry needs at least one boundary node",
+                     lambda g: {**g, "nodes": []}, id="nodes-empty"),
+    ] + [
+        pytest.param(f"geometry field {f!r} is missing",
+                     lambda g, f=f: {k: v for k, v in g.items() if k != f}, id=f"{f}-missing")
+        for f in ("m", "nodes", "V", "ellY")
+    ] + [
+        pytest.param(f"geometry field {f!r} is missing",
+                     lambda g, f=f: {**g, "nodes": [{k: v for k, v in n.items() if k != f}
+                                                   for n in g["nodes"]]},
+                     id=f"node-{f}-missing")
+        for f in ("w", "kappa")
     ])
     def test_invalid_geometry_shape_exit_code(self, tmp_path, capsys, head, make):
         # the first four ended in a TypeError traceback; a misspelt key was
-        # dropped, so a node's "tauM" ran with tau_M = 0 and PASSed
+        # dropped, so a node's "tauM" ran with tau_M = 0 and PASSed; an empty
+        # node list was reported as "quadrature weights must be positive"; a
+        # missing field printed only its bare KeyError ("schema-or-range: 'w'")
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(make(json.loads(geom.unit_disk().to_json()))))
         assert main(["geom-constants", "--m", "2", "--file", str(path)]) == 4
@@ -402,6 +416,22 @@ class TestMain:
         rows = json.loads(capsys.readouterr().out)["rows"]
         checks = [r for r in rows if r["status"] != "INFO"]
         assert checks and all(r["status"] == "PASS" for r in checks)
+
+    @pytest.mark.parametrize("command", ["verify-cylinder", "verify-zeta-zero"])
+    @pytest.mark.parametrize("args", [["--a", "3.3"], ["--q", "1", "--a", "3.3"],
+                                      ["--a", "0.25", "--L", "1e30"]])
+    def test_cylinder_report_independent_of_precision(self, capsys, command, args):
+        # the cylinder values are float64, so --dps cannot change the report.
+        # When the closed forms were taken at --dps digits, --dps 15 and 16
+        # printed coarser residuals (--a 3.3 --dps 15 gave dtn-logdet-identity
+        # 0.0, --q 1 --a 3.3 --dps 16 zeta-difference-s3 0.0, both
+        # 4.440892098500626e-16 at --dps 30), every --dps but 30 moved the
+        # zeta-difference tolerances at L = 1e30, and --dps 2000 took 18 s
+        assert main([command, *args, "--dps", "30"]) == 0
+        want = capsys.readouterr().out
+        for dps in ("15", "16", "50", "2000"):
+            assert main([command, *args, "--dps", dps]) == 0
+            assert capsys.readouterr().out == want, dps
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -4,11 +4,7 @@ import math
 
 import pytest
 
-from dtnzeta.spectra import (
-    ProductSpectrum,
-    circle_form_spectrum,
-    disk_steklov_spectrum,
-)
+from dtnzeta.spectra import circle_form_spectrum, disk_steklov_spectrum
 
 
 class TestPowerSpectrum:
@@ -24,9 +20,3 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             circle_form_spectrum(1.0, 2)
 
-
-class TestProductSpectrum:
-    def test_invalid_boundary_condition(self):
-        base = circle_form_spectrum(2 * math.pi, 0)
-        with pytest.raises(ValueError):
-            ProductSpectrum(a=1.0, bc="mixed", base_q=base, base_qm1=None)

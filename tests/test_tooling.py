@@ -10,7 +10,9 @@ refers to it, or the tracer wraps it.  The one name that only tests reach is
 ``symbolint.q_density_reference``, the paper's table of the zeta(0) densities.
 
 The numeric layer (``spectra``, ``zetadet``) imports no sympy itself, so the
-computer algebra system stays in the symbolic modules.
+computer algebra system stays in the symbolic modules.  It takes no working
+precision either: its values leave it as float64, so no function there has a
+``dps`` parameter, and the CLI reads ``cfg.dps`` only in ``specfun-selftest``.
 
 Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 ``simplify``/``gammasimp``/``cancel`` result may decide a comparison or a
@@ -123,6 +125,24 @@ def test_numeric_layer_imports_no_sympy(module):
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module]
     assert not [name for name in imported if name.split(".")[0] == "sympy"]
+
+
+def test_numeric_layer_has_one_precision():
+    # the cylinder values leave zetadet as float64, so no function of the
+    # numeric layer takes a working precision, and the CLI reads --dps only
+    # for specfun-selftest
+    params = []
+    for module in ("spectra", "zetadet"):
+        tree = ast.parse((ROOT / "src" / "dtnzeta" / f"{module}.py").read_text())
+        params += [f"{module}.{node.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and "dps" in [a.arg for a in node.args.args + node.args.kwonlyargs]]
+    assert not params, params
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "cli.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and node.attr == "dps" and getattr(node.value, "id", None) == "cfg"}
+    assert readers == {"_run_specfun_selftest"}
 
 
 SIMPLIFIERS = {"simplify", "gammasimp", "cancel"}

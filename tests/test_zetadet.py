@@ -165,7 +165,7 @@ class TestProductZeta:
     def test_rejects_non_quadratic_cross_section(self):
         base = PowerSpectrum(coeff=1.0, power=1, mult=2, kernel_dim=1)
         with pytest.raises(ValueError):
-            zeta(ProductSpectrum(a=1.0, bc="dirichlet", base_q=base, base_qm1=None), 2)
+            zeta(ProductSpectrum(a=1.0, families=((base, 1),)), 2)
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("a", [0.5, 3.0])
