@@ -113,16 +113,19 @@ def _check(quantity, citation, residual, tol, **extra):
 
 def _run_derive_a0(cfg: RunConfig) -> list[dict]:
     from .sfunc import exact_zero
-    from .symbolint import a0_density, a0_reference
-    computed = a0_density(cfg.m, cfg.q)
-    expected = a0_reference(cfg.m, cfg.q)
-    ok = exact_zero(computed - expected)
-    return [
-        _row("a0-density", f"a0-density.dim{cfg.m}.q{cfg.q}",
-             expression=str(computed), status="PASS" if ok else "FAIL"),
-        _row("a0-density-reference", f"a0-density.dim{cfg.m}.q{cfg.q}.reference",
-             expression=str(expected), status="INFO"),
-    ]
+    from .symbolint import a0_density, a0_reference, q_density, q_density_reference
+    rows = []
+    for name, density, reference in (("a0-density", a0_density, a0_reference),
+                                     ("q-density", q_density, q_density_reference)):
+        computed = density(cfg.m, cfg.q)
+        expected = reference(cfg.m, cfg.q)
+        ok = exact_zero(computed - expected)
+        citation = f"{name}.dim{cfg.m}.q{cfg.q}"
+        rows.append(_row(name, citation, expression=str(computed),
+                         status="PASS" if ok else "FAIL"))
+        rows.append(_row(f"{name}-reference", f"{citation}.reference",
+                         expression=str(expected), status="INFO"))
+    return rows
 
 
 def _run_derive_terms(cfg: RunConfig) -> list[dict]:

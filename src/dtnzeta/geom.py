@@ -233,11 +233,17 @@ def unit_ball(n_polar: int = 32, n_azimuth: int = 64) -> GeometrySpec:
 
 
 def cylinder_boundary(a: float, L: float, n: int = 64) -> GeometrySpec:
-    """Flat cylinder ``[0, a] x S^1_L``: two totally geodesic boundary circles."""
-    w = L / n
+    """Flat cylinder ``[0, a] x S^1_L``: two totally geodesic boundary circles.
+
+    Its volume ``a L``, boundary length ``2 L`` and node weight ``L / n`` must
+    be positive finite floats; otherwise one ``ValueError`` names ``a`` and ``L``.
+    """
+    V, ellY, w = a * L, 2 * L, L / n
+    if not all(0 < x < math.inf for x in (V, ellY, w)):
+        raise ValueError(f"cylinder parameters a = {a:g}, L = {L:g} give a volume, "
+                         "boundary length or node weight outside the float64 range")
     nodes = tuple(BoundaryNode(w=w, kappa=(0.0,)) for _ in range(2 * n))
-    return GeometrySpec(m=2, nodes=nodes, V=a * L, ellY=2 * L,
-                        label=f"cylinder-a{a}-L{L}")
+    return GeometrySpec(m=2, nodes=nodes, V=V, ellY=ellY, label=f"cylinder-a{a}-L{L}")
 
 
 def rescale(geom: GeometrySpec, c: float) -> GeometrySpec:

@@ -83,6 +83,17 @@ class TestReports:
         golden = [r for r in payload["rows"] if r["quantity"].endswith("golden")]
         assert golden and all(r["status"] == "PASS" for r in golden)
 
+    @pytest.mark.parametrize("m,q", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_derive_a0_checks_both_densities(self, m, q):
+        # the zeta(0) density is decided against the paper's table beside a0
+        status, report = run(RunConfig(command="derive-a0", m=m, q=q))
+        rows = json.loads(report)["rows"]
+        assert status == 0
+        assert [(r["quantity"], r["status"]) for r in rows] == [
+            ("a0-density", "PASS"), ("a0-density-reference", "INFO"),
+            ("q-density", "PASS"), ("q-density-reference", "INFO")]
+        assert rows[2]["citation"] == f"q-density.dim{m}.q{q}"
+
     def test_specfun_selftest(self):
         status, report = run(RunConfig(command="specfun-selftest"))
         assert status == 0 and json.loads(report)["status"] == "PASS"
@@ -130,6 +141,30 @@ class TestMain:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: schema-or-range: cylinder parameters a = {a}, L = {L} outside "
             "[1e-30, 1e+30], the float64 range of the lattice sums"]
+
+    @pytest.mark.parametrize("args, a, L", [
+        pytest.param(["--a", "1e300", "--L", "1e10"], "1e+300", "1e+10", id="volume-overflow"),
+        pytest.param(["--L", "1e308"], "1", "1e+308", id="length-overflow"),
+        pytest.param(["--a", "1e-200", "--L", "1e-200"], "1e-200", "1e-200",
+                     id="volume-underflow"),
+        pytest.param(["--L", "1e-322"], "1", "9.88131e-323", id="weight-underflow"),
+    ])
+    def test_cylinder_geometry_outside_float64_exit_code(self, capsys, args, a, L):
+        # each exited 4 with its own message, naming the fields 'V' or 'ellY'
+        # of the built geometry, or a volume or weight that was not positive
+        assert main(["geom-constants", "--geometry", "cylinder", *args]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: schema-or-range: cylinder parameters a = {a}, L = {L} give a volume, "
+            "boundary length or node weight outside the float64 range"]
+
+    @pytest.mark.parametrize("args", [["--L", "1e-310"], ["--L", "1e307"],
+                                      ["--a", "1e-300", "--L", "1e-20"]],
+                             ids=["subnormal-weight", "long", "subnormal-volume"])
+    def test_cylinder_geometry_at_float64_edges(self, capsys, args):
+        # every volume, length and weight is a positive finite float: accepted
+        assert main(["geom-constants", "--geometry", "cylinder", *args]) == 0
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         # a directory ended in an IsADirectoryError traceback with exit 1
@@ -472,6 +507,12 @@ class TestNegativeControls:
         ref = symbolint.a0_reference
         monkeypatch.setattr(symbolint, "a0_reference", lambda m, q: OFF * ref(m, q))
         assert _failing(RunConfig(command="derive-a0", m=m, q=q)) == ["a0-density"]
+
+    @pytest.mark.parametrize("m,q", [(2, 1), (3, 0)])
+    def test_derive_a0_q_density(self, monkeypatch, m, q):
+        ref = symbolint.q_density_reference
+        monkeypatch.setattr(symbolint, "q_density_reference", lambda m, q: OFF * ref(m, q))
+        assert _failing(RunConfig(command="derive-a0", m=m, q=q)) == ["q-density"]
 
     def test_derive_terms_piece(self, monkeypatch):
         ref = symbolint.reference_term_table

@@ -261,6 +261,25 @@ class TestStarCompose:
             lambda e: canonical_zero_form(ch, e)) == zeros(ch.n_proj, ch.n_proj)
 
 
+class TestProofsSeeCompositionFaults:
+    """The proofs check the construction with ``star_compose``, not with the
+    ``_compose_term`` routine that builds it, so a fault there must show."""
+
+    @pytest.mark.parametrize("mutate, order", [
+        pytest.param(lambda c, k: c, None, id="unchanged"),
+        # on a one-dimensional boundary w = (k,), so dropping 1/w! scales c by k!
+        pytest.param(lambda c, k: c * math.factorial(k), 0, id="dropped-factorial-weight"),
+        pytest.param(lambda c, k: -c if k == 1 else c, 1, id="flipped-first-order-sign"),
+    ])
+    def test_riccati_residual(self, monkeypatch, mutate, order):
+        ch = BoundaryChart(2, 0)  # not the cached chart(2, 0): the mutation stays in it
+        term = ch._compose_term
+        monkeypatch.setattr(ch, "_compose_term", lambda c, A, B, k: term(mutate(c, k), A, B, k))
+        # the highest order whose residual is nonzero: the one the fault reaches first
+        faulty = [k for k, M in riccati_residual(ch).items() if M != zeros(1, 1)]
+        assert max(faulty, default=None) == order, faulty
+
+
 class TestGradedIdentities:
     """Exact identities of the graded symbol solution (fast dimension-2 fibers;
     the full five-fiber parametrix check runs in the acceptance suite)."""

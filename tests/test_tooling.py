@@ -6,8 +6,7 @@ its ``TARGETS`` table, and a rename or deletion in the package would break the
 traced run.  The table is read from the file's source, so nothing under
 ``perfbench/`` is imported or written.  Every name of a module's
 ``__all__`` must have a caller: the package, a script or the benchmark
-refers to it, or the tracer wraps it.  The one name that only tests reach is
-``symbolint.q_density_reference``, the paper's table of the zeta(0) densities.
+refers to it, or the tracer wraps it; no name is reached from tests alone.
 
 The numeric layer (``spectra``, ``zetadet``) imports no sympy itself, so the
 computer algebra system stays in the symbolic modules.  It takes no working
@@ -32,7 +31,10 @@ one walk into its Laurent ring, the substitutions made at the leaves:
 ``symbolint.boundary_reduce`` and ``symbolcas._laurent_expansion`` refer to no
 ``expand``, ``xreplace`` or ``eval_at_boundary_point``, and the projected-square
 proof ``symbolcas.projected_square_correction_defect`` reads its defect at the
-point through the same walk, with neither of the last two.
+point through the same walk, with neither of the last two.  The graded symbols
+and the resolvent are built with ``BoundaryChart._compose_term``;
+``star_compose`` and the three proofs do not refer to it, so the proofs check
+the construction against a composition they do not share with it.
 
 A ``@given`` test that fails on a generated example is reported as a failure,
 and the session runs on: ``tests/conftest.py`` imports the module Hypothesis's
@@ -93,9 +95,8 @@ def test_all_names_exist():
         assert not absent, f"{name}.__all__ lists missing names {absent}"
 
 
-# public names that only tests reach: the paper's table of zeta(0) densities,
-# the reference q_density is compared with, until a report row reads it
-TEST_ONLY = {"symbolint.q_density_reference"}
+# public names that only tests reach
+TEST_ONLY = set()
 
 
 def test_every_public_name_has_a_caller():
@@ -291,6 +292,20 @@ def test_trace_reduction_is_one_walk():
         fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
         names = {name for name, _ in _references(fn)}
         found += [f"{function}: {name}" for name in sorted(names & banned)]
+    assert not found, found
+
+
+def test_proofs_do_not_share_the_composition_term():
+    # the graded symbols and the resolvent are built with
+    # BoundaryChart._compose_term; the composition the proofs check them with
+    # keeps its own loop, so a fault in the routine cannot hide from them
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "symbolcas.py").read_text())
+    found = []
+    for function in ("star_compose", "riccati_residual", "parametrix_defect",
+                     "projected_square_correction_defect"):
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+        if "_compose_term" in {name for name, _ in _references(fn)}:
+            found.append(function)
     assert not found, found
 
 
