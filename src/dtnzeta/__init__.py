@@ -30,3 +30,16 @@ geom
 cli
     Command line front end emitting JSON reports.
 """
+
+import os
+
+# sympy sizes the LRU cache of its expression constructors (``Add``, ``Mul``)
+# from this variable when it is first imported, so it must be set before any
+# module of the package imports sympy; a value the caller already set wins.
+# The default of 1000 entries is smaller than the proofs' working set: one
+# identity batch (the Riccati, parametrix and projected-square proofs of the
+# five fibers) builds 3,767 distinct sums and products, and all five fibers'
+# proofs including the dim-3 parametrix build 4,380, so the default cache
+# evicts and re-flattens about half of its misses.  A verify batch builds
+# 2,327.  2**14 holds each several times over and keeps memory bounded.
+os.environ.setdefault("SYMPY_CACHE_SIZE", str(2 ** 14))

@@ -99,7 +99,9 @@ class GeometrySpec:
         wsum = sum(n.w for n in self.nodes)
         if any(n.w <= 0 for n in self.nodes):
             raise ValueError("quadrature weights must be positive")
-        if abs(wsum - self.ellY) > 1e-12 * max(1.0, self.ellY):
+        # relative at every scale; the subnormal term is the rounding of
+        # weights below 2**-1022, e.g. a cylinder at L = 1e-310
+        if abs(wsum - self.ellY) > 1e-12 * self.ellY + len(self.nodes) * 2.0 ** -1074:
             raise ValueError(
                 f"weights sum to {wsum!r}, expected boundary volume {self.ellY!r}")
         for n in self.nodes:
@@ -153,16 +155,22 @@ class GeometrySpec:
         )
 
 
+# the field names of each geometry-file object, and those without a default
+_KEYS = {cls: (tuple(f.name for f in fields(cls)),
+               tuple(f.name for f in fields(cls) if f.default is MISSING))
+         for cls in (GeometrySpec, BoundaryNode)}
+
+
 def _check_keys(obj: dict, cls) -> None:
     """Reject a geometry-file key that names no field of ``cls``, and a missing
     field of ``cls`` that has no default."""
-    keys = [f.name for f in fields(cls)]
+    keys, required = _KEYS[cls]
     for key in obj:
         if key not in keys:
             raise ValueError(f"unknown geometry key {key!r}, expected one of {', '.join(keys)}")
-    for f in fields(cls):
-        if f.name not in obj and f.default is MISSING:
-            raise ValueError(f"geometry field {f.name!r} is missing")
+    for name in required:
+        if name not in obj:
+            raise ValueError(f"geometry field {name!r} is missing")
 
 
 # ---------------------------------------------------------------------------

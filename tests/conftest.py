@@ -1,3 +1,9 @@
+# The package sets the size of sympy's expression cache when it is imported,
+# and sympy reads that size only on its own first import.  Test modules such as
+# test_acceptance.py import sympy before dtnzeta, so import the package here,
+# before any test module is collected, for the suite to run under its size.
+import dtnzeta  # noqa: F401  (first: see above)
+
 import warnings
 
 from hypothesis import settings

@@ -358,6 +358,9 @@ class TestMain:
                      lambda g: {**g, "lable": "disk"}, id="top-key-misspelt"),
         pytest.param("a geometry needs at least one boundary node",
                      lambda g: {**g, "nodes": []}, id="nodes-empty"),
+        pytest.param("weights sum to 5e-13, expected boundary volume 1e-13",
+                     lambda g: {**g, "ellY": 1e-13, "nodes": [{"w": 5e-13, "kappa": [1e13]}]},
+                     id="tiny-weight-sum"),
     ] + [
         pytest.param(f"geometry field {f!r} is missing",
                      lambda g, f=f: {k: v for k, v in g.items() if k != f}, id=f"{f}-missing")
@@ -373,7 +376,9 @@ class TestMain:
         # the first four ended in a TypeError traceback; a misspelt key was
         # dropped, so a node's "tauM" ran with tau_M = 0 and PASSed; an empty
         # node list was reported as "quadrature weights must be positive"; a
-        # missing field printed only its bare KeyError ("schema-or-range: 'w'")
+        # missing field printed only its bare KeyError ("schema-or-range: 'w'");
+        # below ellY = 1 the weight sum was checked to 1e-12 absolute, so a
+        # boundary of length 1e-13 with weights summing to 5e-13 exited 0
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(make(json.loads(geom.unit_disk().to_json()))))
         assert main(["geom-constants", "--m", "2", "--file", str(path)]) == 4

@@ -45,6 +45,10 @@ No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
 the cached ``chart(m, q)``, and its stage methods are memoized with
 ``functools.cache`` instead of writing into the instance.
+
+Importing the package sizes sympy's expression cache to ``2**14`` entries
+unless ``SYMPY_CACHE_SIZE`` is already set; sympy reads the size on its first
+import, so a program that imports sympy first keeps sympy's default.
 """
 
 import ast
@@ -371,6 +375,27 @@ def test_cli_import_loads_no_numpy():
     assert out.split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("preamble, env_size, size", [
+    pytest.param("", None, 2 ** 14, id="package-size"),
+    pytest.param("", "1000", 1000, id="caller-size-wins"),
+    pytest.param("import sympy\n", None, 1000, id="sympy-imported-first"),
+])
+def test_sympy_cache_size(preamble, env_size, size):
+    # the package sizes sympy's expression cache to hold the proofs' working
+    # set; the caller's SYMPY_CACHE_SIZE wins, and the size takes effect only
+    # when the package is imported before sympy (1000 is sympy's default)
+    code = (preamble + "import dtnzeta.cli\n"
+            "from sympy.core.operations import AssocOp\n"
+            "print(AssocOp.__new__.cache_info().maxsize)\n")
+    env = {k: v for k, v in os.environ.items() if k != "SYMPY_CACHE_SIZE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if env_size is not None:
+        env["SYMPY_CACHE_SIZE"] = env_size
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == str(size)
+
+
 def test_failing_given_test_does_not_end_session(tmp_path):
     # a falsified @given test used to end the session with INTERNALERROR, so
     # the passing test after it never ran and the summary read "1 failed"
@@ -381,7 +406,8 @@ def test_failing_given_test_does_not_end_session(tmp_path):
         "    assert x > 10**9\n\n\n"
         "def test_passes():\n"
         "    pass\n")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "tests")}
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "tests"), str(ROOT / "src")])}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
