@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError(f"{self.command} does not read {', '.join(unread)}")
         if self.dps < 15:
             raise ValueError("precision must be at least 15 digits")
+        if self.command == "specfun-selftest" and self.dps > _MAX_DPS:
+            raise ValueError(f"specfun-selftest precision must be at most {_MAX_DPS} digits")
         if self.m is None and not (self.file or self.geometry):
             object.__setattr__(self, "m", dims[-1])
         if self.m is not None and self.m not in dims:
@@ -78,6 +80,11 @@ class RunConfig:
             raise ValueError("cylinder parameters must be finite")
         if self.a <= 0 or self.L <= 0:
             raise ValueError("cylinder parameters must be positive")
+
+
+# mpmath's zeta'(0) alone takes seconds at 1000 digits and about seven times
+# as long at 2000, so specfun-selftest stops there
+_MAX_DPS = 1000
 
 
 def _row(quantity: str, citation: str, *, value=None, expression=None,
@@ -228,7 +235,7 @@ def _run_conformal_check(cfg: RunConfig) -> list[dict]:
 
     from .geom import conformal_variation_check, unit_disk
     geom = unit_disk()
-    n = len(geom.nodes)
+    n = len(geom.w)
     th = np.arange(n) * 2 * math.pi / n
     cases = {
         "constant": (np.ones_like(th), np.zeros_like(th), lambda x, y: 1.0),
@@ -321,8 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--file", default="", help="geometry JSON file")
     parser.add_argument("--output", default="", help="write the JSON report here")
     parser.add_argument("--dps", type=int, default=30,
-                        help="working precision of specfun-selftest in decimal digits "
-                             "(the cylinder reports are float64 and do not depend on it)")
+                        help="working precision of specfun-selftest in decimal digits, "
+                             f"15 to {_MAX_DPS} (the cylinder reports are float64 and do "
+                             "not depend on it)")
     return parser
 
 

@@ -1,8 +1,9 @@
 """Quadrature geometries and curvature-integral constants.
 
-A :class:`GeometrySpec` carries fixed-weight boundary quadrature nodes with
-pointwise principal curvatures and scalar curvatures, plus the interior volume
-and boundary volume.  On top of it this module evaluates:
+A :class:`GeometrySpec` carries fixed-weight boundary quadrature nodes as
+float64 columns of weights, pointwise principal curvatures and scalar
+curvatures, plus the interior volume and boundary volume.  On top of it this
+module evaluates:
 
 * the determinant-gluing constant ``a0`` (integral of the derived boundary
   density),
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +30,6 @@ from .symbolint import a0_density, q_density
 
 __all__ = [
     "GeometrySpec",
-    "BoundaryNode",
     "a0_constant",
     "zeta0_constant",
     "conformal_variation_check",
@@ -39,27 +39,26 @@ __all__ = [
     "rescale",
 ]
 
-
-@dataclass(frozen=True)
-class BoundaryNode:
-    """One boundary quadrature node: weight, curvatures, scalar curvatures."""
-
-    w: float
-    kappa: tuple[float, ...]
-    tau_M: float = 0.0
-    tau_Y: float = 0.0
+# the per-node fields, each a float64 column over the nodes
+_COLUMNS = ("w", "kappa", "tau_M", "tau_Y")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometrySpec:
     """Boundary quadrature description of a compact manifold with boundary.
+
+    The quadrature nodes are held as float64 columns, one entry per node.
 
     Parameters
     ----------
     m : int
         Interior dimension, 2 or 3.
-    nodes : tuple of BoundaryNode
-        Fixed-weight quadrature nodes; weights sum to ``ellY``.
+    w : ndarray, shape (n,)
+        Fixed-weight quadrature weights; they sum to ``ellY``.
+    kappa : ndarray, shape (n, m - 1)
+        Principal curvatures of the boundary at each node.
+    tau_M, tau_Y : ndarray, shape (n,)
+        Scalar curvatures of the interior and of the boundary at each node.
     V : float
         Interior volume.
     ellY : float
@@ -69,7 +68,10 @@ class GeometrySpec:
     """
 
     m: int
-    nodes: tuple[BoundaryNode, ...]
+    w: np.ndarray
+    kappa: np.ndarray
+    tau_M: np.ndarray
+    tau_Y: np.ndarray
     V: float
     ellY: float
     label: str = ""
@@ -79,46 +81,45 @@ class GeometrySpec:
             raise ValueError(f"geometry field 'm' must be an integer, got {self.m!r}")
         if not isinstance(self.label, str):
             raise ValueError(f"geometry field 'label' must be a string, got {self.label!r}")
-        nodes = self.nodes
-        for name, values in (("V", [self.V]), ("ellY", [self.ellY]),
-                             ("w", [n.w for n in nodes]),
-                             ("kappa", [k for n in nodes for k in n.kappa]),
-                             ("tau_M", [n.tau_M for n in nodes]),
-                             ("tau_Y", [n.tau_Y for n in nodes])):
-            for value in values:
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not math.isfinite(value)):
-                    raise ValueError(
-                        f"geometry field {name!r} must be a finite number, got {value!r}")
+        for name in ("V", "ellY"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(
+                    f"geometry field {name!r} must be a finite number, got {value!r}")
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if not np.isfinite(column).all():
+                bad = column[~np.isfinite(column)][0]
+                raise ValueError(
+                    f"geometry field {name!r} must be a finite number, got {float(bad)!r}")
         if self.m not in (2, 3):
             raise ValueError("only interior dimensions 2 and 3 are supported")
         if self.V <= 0 or self.ellY <= 0:
             raise ValueError("volumes must be positive")
-        if not self.nodes:
+        n = len(self.w)
+        if not n:
             raise ValueError("a geometry needs at least one boundary node")
-        wsum = sum(n.w for n in self.nodes)
-        if any(n.w <= 0 for n in self.nodes):
+        wsum = sum(self.w.tolist())
+        if (self.w <= 0).any():
             raise ValueError("quadrature weights must be positive")
         # relative at every scale; the subnormal term is the rounding of
         # weights below 2**-1022, e.g. a cylinder at L = 1e-310
-        if abs(wsum - self.ellY) > 1e-12 * self.ellY + len(self.nodes) * 2.0 ** -1074:
+        if abs(wsum - self.ellY) > 1e-12 * self.ellY + n * 2.0 ** -1074:
             raise ValueError(
                 f"weights sum to {wsum!r}, expected boundary volume {self.ellY!r}")
-        for n in self.nodes:
-            if len(n.kappa) != self.m - 1:
-                raise ValueError("each node needs m-1 principal curvatures")
-            if self.m == 2 and n.tau_Y != 0.0:
-                raise ValueError("a 1-dimensional boundary has tau_Y = 0")
+        if self.kappa.shape != (n, self.m - 1):
+            raise ValueError("each node needs m-1 principal curvatures")
+        if self.m == 2 and self.tau_Y.any():
+            raise ValueError("a 1-dimensional boundary has tau_Y = 0")
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
         payload = {
             "m": self.m,
-            "nodes": [
-                {"w": n.w, "kappa": list(n.kappa), "tau_M": n.tau_M, "tau_Y": n.tau_Y}
-                for n in self.nodes
-            ],
+            "nodes": [dict(zip(_COLUMNS, node))
+                      for node in zip(*(getattr(self, c).tolist() for c in _COLUMNS))],
             "V": self.V,
             "ellY": self.ellY,
             "label": self.label,
@@ -134,43 +135,45 @@ class GeometrySpec:
         if not isinstance(payload, dict):
             raise ValueError(
                 f"a geometry file must hold a JSON object, got {type(payload).__name__}")
-        _check_keys(payload, GeometrySpec)
+        _check_keys(payload, ("m", "nodes", "V", "ellY", "label"), ("m", "nodes", "V", "ellY"))
         nodes = payload["nodes"]
         if not (isinstance(nodes, list) and all(isinstance(n, dict) for n in nodes)):
             raise ValueError(f"geometry field 'nodes' must be a list of objects, got {nodes!r}")
         for n in nodes:
-            _check_keys(n, BoundaryNode)
+            _check_keys(n, _COLUMNS, ("w", "kappa"))
             if not isinstance(n["kappa"], list):
                 raise ValueError(f"geometry field 'kappa' must be a list, got {n['kappa']!r}")
+        widths = {len(n["kappa"]) for n in nodes}
+        if len(widths) > 1:
+            raise ValueError("each node needs m-1 principal curvatures")
         return GeometrySpec(
-            m=payload["m"],
-            nodes=tuple(
-                BoundaryNode(w=n["w"], kappa=tuple(n["kappa"]),
-                             tau_M=n.get("tau_M", 0.0), tau_Y=n.get("tau_Y", 0.0))
-                for n in nodes
-            ),
-            V=payload["V"],
-            ellY=payload["ellY"],
-            label=payload.get("label", ""),
-        )
+            m=payload["m"], w=_column("w", [n["w"] for n in nodes]),
+            kappa=_column("kappa", [k for n in nodes for k in n["kappa"]]).reshape(
+                len(nodes), max(widths, default=0)),
+            tau_M=_column("tau_M", [n.get("tau_M", 0.0) for n in nodes]),
+            tau_Y=_column("tau_Y", [n.get("tau_Y", 0.0) for n in nodes]),
+            V=payload["V"], ellY=payload["ellY"], label=payload.get("label", ""))
 
 
-# the field names of each geometry-file object, and those without a default
-_KEYS = {cls: (tuple(f.name for f in fields(cls)),
-               tuple(f.name for f in fields(cls) if f.default is MISSING))
-         for cls in (GeometrySpec, BoundaryNode)}
-
-
-def _check_keys(obj: dict, cls) -> None:
-    """Reject a geometry-file key that names no field of ``cls``, and a missing
-    field of ``cls`` that has no default."""
-    keys, required = _KEYS[cls]
+def _check_keys(obj: dict, keys: tuple, required: tuple) -> None:
+    """Reject a geometry-file key not among ``keys``, and a missing ``required`` key."""
     for key in obj:
         if key not in keys:
             raise ValueError(f"unknown geometry key {key!r}, expected one of {', '.join(keys)}")
     for name in required:
         if name not in obj:
             raise ValueError(f"geometry field {name!r} is missing")
+
+
+def _column(name: str, values: list) -> np.ndarray:
+    """The float64 column of geometry field ``name``.  A value that is not an
+    int or a float (a bool is neither) is rejected, naming the first, before
+    numpy could read a string such as ``"1.0"`` as a number; finiteness is
+    checked on the column."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"geometry field {name!r} must be a finite number, got {bad!r}")
+    return np.array(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,9 @@ def _density_fn(m: int, q: int, kind: str):
     """Lambdified boundary density: ``a0`` density or zeta-at-zero density.
 
     The density goes through its polynomial in the curvature fields, so the
-    arithmetic does not depend on how the density happens to be printed.
+    arithmetic does not depend on how the density happens to be printed, and
+    the ``math``-lambdified polynomial takes the float64 columns as they are
+    (a ``numpy``-lambdified one would load numpy's whole namespace).
     """
     ch = chart(m, q)
     expr = a0_density(m, q) if kind == "a0" else 2 * q_density(m, q)
@@ -191,9 +196,15 @@ def _density_fn(m: int, q: int, kind: str):
 
 
 def _quadrature(geom: GeometrySpec, q: int, kind: str) -> float:
-    """Quadrature of the ``kind`` density; ``ValueError`` unless it is finite."""
+    """Quadrature of the ``kind`` density; ``ValueError`` unless it is finite.
+
+    The density is evaluated on the columns at once; an overflow there leaves
+    an infinity or a NaN for the finiteness check to report.  The weighted
+    values are summed left to right, node by node.
+    """
     fn = _density_fn(geom.m, q, kind)
-    value = float(sum(n.w * fn(*n.kappa, n.tau_M, n.tau_Y) for n in geom.nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sum((geom.w * fn(*geom.kappa.T, geom.tau_M, geom.tau_Y)).tolist())
     if not math.isfinite(value):
         raise ValueError(f"the {kind} constant of geometry {geom.label!r} at q = {q} "
                          "overflows float64")
@@ -216,27 +227,20 @@ def zeta0_constant(geom: GeometrySpec, q: int) -> float:
 
 def unit_disk(n: int = 256) -> GeometrySpec:
     """Unit disk: boundary circle of length 2*pi, curvature 1, flat interior."""
-    w = 2 * math.pi / n
-    nodes = tuple(BoundaryNode(w=w, kappa=(1.0,)) for _ in range(n))
-    return GeometrySpec(m=2, nodes=nodes, V=math.pi, ellY=2 * math.pi,
+    return GeometrySpec(m=2, w=np.full(n, 2 * math.pi / n), kappa=np.ones((n, 1)),
+                        tau_M=np.zeros(n), tau_Y=np.zeros(n), V=math.pi, ellY=2 * math.pi,
                         label="unit-disk")
 
 
 def unit_ball(n_polar: int = 32, n_azimuth: int = 64) -> GeometrySpec:
     """Unit ball: boundary sphere of area 4*pi, both curvatures 1, tau_Y = 2."""
-    x, gl_w = np.polynomial.legendre.leggauss(n_polar)
-    nodes = []
-    dphi = 2 * math.pi / n_azimuth
-    for xi, wi in zip(x, gl_w):
-        for _ in range(n_azimuth):
-            nodes.append(BoundaryNode(w=float(wi) * dphi, kappa=(1.0, 1.0),
-                                      tau_M=0.0, tau_Y=2.0))
-    total = sum(n.w for n in nodes)
+    _, gl_w = np.polynomial.legendre.leggauss(n_polar)
+    w = np.repeat(gl_w, n_azimuth) * (2 * math.pi / n_azimuth)
     # Gauss-Legendre weights sum to 2 exactly only in exact arithmetic;
     # renormalize to the exact sphere area
-    nodes = tuple(BoundaryNode(w=n.w * 4 * math.pi / total, kappa=n.kappa,
-                               tau_M=n.tau_M, tau_Y=n.tau_Y) for n in nodes)
-    return GeometrySpec(m=3, nodes=nodes, V=4 * math.pi / 3, ellY=4 * math.pi,
+    w = w * 4 * math.pi / sum(w.tolist())
+    return GeometrySpec(m=3, w=w, kappa=np.ones((len(w), 2)), tau_M=np.zeros_like(w),
+                        tau_Y=np.full_like(w, 2.0), V=4 * math.pi / 3, ellY=4 * math.pi,
                         label="unit-ball")
 
 
@@ -250,8 +254,9 @@ def cylinder_boundary(a: float, L: float, n: int = 64) -> GeometrySpec:
     if not all(0 < x < math.inf for x in (V, ellY, w)):
         raise ValueError(f"cylinder parameters a = {a:g}, L = {L:g} give a volume, "
                          "boundary length or node weight outside the float64 range")
-    nodes = tuple(BoundaryNode(w=w, kappa=(0.0,)) for _ in range(2 * n))
-    return GeometrySpec(m=2, nodes=nodes, V=V, ellY=ellY, label=f"cylinder-a{a}-L{L}")
+    return GeometrySpec(m=2, w=np.full(2 * n, w), kappa=np.zeros((2 * n, 1)),
+                        tau_M=np.zeros(2 * n), tau_Y=np.zeros(2 * n), V=V, ellY=ellY,
+                        label=f"cylinder-a{a}-L{L}")
 
 
 def rescale(geom: GeometrySpec, c: float) -> GeometrySpec:
@@ -261,13 +266,10 @@ def rescale(geom: GeometrySpec, c: float) -> GeometrySpec:
     ``1/c**2``, boundary measure by ``c**(m-1)``, volume by ``c**m``.
     """
     s = c ** (geom.m - 1)
-    nodes = tuple(
-        BoundaryNode(w=n.w * s, kappa=tuple(k / c for k in n.kappa),
-                     tau_M=n.tau_M / c ** 2, tau_Y=n.tau_Y / c ** 2)
-        for n in geom.nodes
-    )
-    return GeometrySpec(m=geom.m, nodes=nodes, V=geom.V * c ** geom.m,
-                        ellY=geom.ellY * s, label=f"{geom.label}-scaled{c}")
+    return GeometrySpec(m=geom.m, w=geom.w * s, kappa=geom.kappa / c,
+                        tau_M=geom.tau_M / c ** 2, tau_Y=geom.tau_Y / c ** 2,
+                        V=geom.V * c ** geom.m, ellY=geom.ellY * s,
+                        label=f"{geom.label}-scaled{c}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +285,8 @@ def _polar_disk_integral(f, n_r: int, n_t: int) -> float:
     dt = 2 * math.pi / n_t
     total = 0.0
     for ri, wi in zip(r, wr):
-        xs = ri * np.cos(theta)
-        ys = ri * np.sin(theta)
-        vals = np.array([f(xx, yy) for xx, yy in zip(xs, ys)])
+        # broadcast, since an ``f`` such as ``lambda x, y: 1.0`` gives a scalar
+        vals = np.broadcast_to(f(ri * np.cos(theta), ri * np.sin(theta)), theta.shape)
         total += float(wi * ri * np.sum(vals) * dt)
     return total
 
@@ -309,7 +310,9 @@ def conformal_variation_check(geom: GeometrySpec, boundary_values,
     boundary_values, normal_inward : array-like
         Samples of ``F`` and of its inward normal derivative at the nodes.
     interior_fn : callable
-        ``F(x, y)`` on the interior, used for the volume integrals.
+        ``F(x, y)`` on the interior, used for the volume integrals.  It is
+        called on arrays of points, one ring of the polar grid at a time, and
+        returns an array of their values or one scalar for all of them.
     """
     if geom.m != 2:
         raise ValueError("the conformal variation check is 2-dimensional")
@@ -317,14 +320,12 @@ def conformal_variation_check(geom: GeometrySpec, boundary_values,
         raise ValueError("inward normal-derivative samples are required")
     fvals = np.asarray(boundary_values, dtype=np.float64)
     dnvals = np.asarray(normal_inward, dtype=np.float64)
-    if fvals.shape != dnvals.shape or len(fvals) != len(geom.nodes):
+    if fvals.shape != dnvals.shape or len(fvals) != len(geom.w):
         raise ValueError("boundary samples must conform to the node count")
-    weights = np.array([n.w for n in geom.nodes])
-    kappas = np.array([n.kappa[0] for n in geom.nodes])
 
-    int_f_bnd = float(np.sum(weights * fvals))
-    int_dn = float(np.sum(weights * dnvals))
-    int_f_kappa = float(np.sum(weights * fvals * kappas))
+    int_f_bnd = float(np.sum(geom.w * fvals))
+    int_dn = float(np.sum(geom.w * dnvals))
+    int_f_kappa = float(np.sum(geom.w * fvals * geom.kappa[:, 0]))
     vol_int_coarse = _polar_disk_integral(interior_fn, 24, 96)
     vol_int_fine = _polar_disk_integral(interior_fn, 32, 128)
 

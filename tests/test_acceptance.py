@@ -176,7 +176,7 @@ def test_criterion_8_conformal_invariance():
     """Conformal variation of the gluing identity vanishes on the unit disk."""
     from dtnzeta.geom import conformal_variation_check, unit_disk
     geom = unit_disk()
-    n = len(geom.nodes)
+    n = len(geom.w)
     th = np.arange(n) * 2 * math.pi / n
     cases = [
         (np.ones_like(th), np.zeros_like(th), lambda x, y: 1.0),

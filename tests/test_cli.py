@@ -23,6 +23,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(command="verify-cylinder", dps=10)
 
+    def test_selftest_precision_bound(self):
+        # the selftest's zeta'(0) took 3.7 s at 1010 digits and 24.9 s at 2010
+        assert RunConfig(command="specfun-selftest", dps=1000).dps == 1000
+        with pytest.raises(ValueError, match="at most 1000 digits"):
+            RunConfig(command="specfun-selftest", dps=1001)
+
     def test_rejects_out_of_range_degree(self):
         with pytest.raises(ValueError):
             RunConfig(command="derive-a0", m=2, q=2)
@@ -238,10 +244,14 @@ class TestMain:
                      id="selftest-m3"),
         pytest.param(["conformal-check", "--geometry", "unit-ball", "--q", "1"],
                      "conformal-check does not read --q, --geometry", id="conformal-two-options"),
+        pytest.param(["specfun-selftest", "--dps", "1001"],
+                     "specfun-selftest precision must be at most 1000 digits",
+                     id="selftest-dps-1001"),
     ])
     def test_rejected_config_message(self, capsys, args, message):
         # derive-terms --m 2 exited 4 from the pipeline; --file silently
-        # replaced --geometry, and the others ran
+        # replaced --geometry, the selftest ran at any precision (--dps 4000
+        # did not finish in 120 s), and the others ran
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -358,6 +368,10 @@ class TestMain:
                      lambda g: {**g, "lable": "disk"}, id="top-key-misspelt"),
         pytest.param("a geometry needs at least one boundary node",
                      lambda g: {**g, "nodes": []}, id="nodes-empty"),
+        pytest.param("each node needs m-1 principal curvatures",
+                     lambda g: {**g, "nodes": [{**g["nodes"][0], "kappa": [1.0, 1.0]},
+                                               *g["nodes"][1:]]},
+                     id="kappa-ragged"),
         pytest.param("weights sum to 5e-13, expected boundary volume 1e-13",
                      lambda g: {**g, "ellY": 1e-13, "nodes": [{"w": 5e-13, "kappa": [1e13]}]},
                      id="tiny-weight-sum"),
@@ -408,11 +422,15 @@ class TestMain:
                      id="disk-kappa"),
         pytest.param(lambda: geom.rescale(geom.unit_ball(n_polar=2, n_azimuth=2), 6.0),
                      {"tau_M": 1e308}, "0", id="ball-tau_M"),
+        pytest.param(lambda: geom.unit_ball(n_polar=2, n_azimuth=2),
+                     {"kappa": [1e200, 1.0]}, "0", id="ball-kappa-squared"),
     ])
     def test_overflowing_constant_exit_code(self, tmp_path, capsys, make, node, q):
         # finite fields whose constant overflows float64 printed a bare
         # -Infinity or Infinity, which is not JSON, and exited 0; here the a0
-        # constants are -3.9e308 and 2.2e308
+        # constants are -3.9e308 and 2.2e308.  A squared curvature that
+        # overflows raised an OverflowError inside the density, reported only
+        # as "parameters outside the float64 range of the pipeline"
         payload = json.loads(make().to_json())
         payload["nodes"] = [{**n, **node} for n in payload["nodes"]]
         path = tmp_path / "geometry.json"
@@ -434,6 +452,20 @@ class TestMain:
         assert main(["geom-constants", "--file", str(path), "--q", "0"]) == 0
         values = [r["value"] for r in json.loads(capsys.readouterr().out)["rows"]]
         assert values == pytest.approx([1e308 / 16, 1e308 / 8], rel=1e-12)
+
+    def test_integer_node_values_read_as_floats(self, tmp_path, capsys):
+        # a file's integers become float64 columns: the disk with kappa 1
+        # reports the bytes of the disk with kappa 1.0
+        payload = json.loads(geom.unit_disk().to_json())
+        out = []
+        for kappa in (1.0, 1):
+            payload["nodes"] = [{**n, "kappa": [kappa]} for n in payload["nodes"]]
+            path = tmp_path / "geometry.json"
+            path.write_text(json.dumps(payload))
+            assert main(["geom-constants", "--file", str(path), "--q", "1"]) == 0
+            out.append(capsys.readouterr().out)
+        assert '"kappa": [1]' in path.read_text()
+        assert out[0] == out[1]
 
     def test_file_labelled_as_built_in_has_no_golden_rows(self, tmp_path, capsys):
         # golden rows were keyed by the file's own label, so this disk of

@@ -7,7 +7,6 @@ import pytest
 import sympy as sp
 
 from dtnzeta.geom import (
-    BoundaryNode,
     GeometrySpec,
     _density_fn,
     a0_constant,
@@ -22,6 +21,12 @@ from dtnzeta.symbolcas import chart
 
 
 R = sp.Symbol("r")
+
+
+def _node(w=1.0, kappa=(0.0,), tau_M=0.0, tau_Y=0.0):
+    """The columns of a geometry with one boundary node."""
+    return dict(w=np.array([w]), kappa=np.array([kappa]), tau_M=np.array([tau_M]),
+                tau_Y=np.array([tau_Y]))
 
 
 class TestMeanCurvatures:
@@ -80,22 +85,26 @@ class TestMeanCurvatures:
         # densities take exactly m - 1 of them
         for m, kappa in ((2, (1.0, 1.0)), (3, (1.0,))):
             with pytest.raises(ValueError, match="m-1 principal curvatures"):
-                GeometrySpec(m=m, nodes=(BoundaryNode(w=1.0, kappa=kappa),), V=1.0, ellY=1.0)
+                GeometrySpec(m=m, **_node(kappa=kappa), V=1.0, ellY=1.0)
 
 
 class TestGeometrySpec:
     def test_weight_sum_invariant(self):
         with pytest.raises(ValueError):
-            GeometrySpec(m=2, nodes=(BoundaryNode(w=1.0, kappa=(0.0,)),),
-                         V=1.0, ellY=2.0)
+            GeometrySpec(m=2, **_node(kappa=(0.0,)), V=1.0, ellY=2.0)
 
     def test_tau_y_vanishes_on_curves(self):
         with pytest.raises(ValueError):
-            GeometrySpec(m=2, nodes=(BoundaryNode(w=1.0, kappa=(0.0,), tau_Y=1.0),),
-                         V=1.0, ellY=1.0)
+            GeometrySpec(m=2, **_node(kappa=(0.0,), tau_Y=1.0), V=1.0, ellY=1.0)
 
-    def test_json_round_trip(self):
-        g = unit_disk(16)
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: unit_disk(16), id="disk"),
+        pytest.param(lambda: unit_ball(4, 8), id="ball"),
+        pytest.param(lambda: rescale(unit_disk(), 1.3), id="scaled-disk"),
+        pytest.param(lambda: cylinder_boundary(2.0, 3.0), id="cylinder"),
+    ])
+    def test_json_round_trip(self, make):
+        g = make()
         text = g.to_json()
         assert GeometrySpec.from_json(text).to_json() == text
 
@@ -135,7 +144,7 @@ class TestConstants:
     def test_gauss_bonnet(self):
         # flat disk: total geodesic curvature of the boundary is 2 pi chi
         d = unit_disk()
-        total = sum(n.w * n.kappa[0] for n in d.nodes)
+        total = sum(d.w * d.kappa[:, 0])
         assert abs(total / (2 * math.pi) - 1.0) < 1e-12
 
 
@@ -155,7 +164,7 @@ class TestScalingInvariance:
 class TestConformalVariation:
     def setup_method(self):
         self.geom = unit_disk()
-        n = len(self.geom.nodes)
+        n = len(self.geom.w)
         self.theta = np.arange(n) * 2 * math.pi / n
 
     def test_constant(self):

@@ -18,8 +18,11 @@ Every exact zero decision goes through ``dtnzeta.sfunc.exact_zero``: no
 branch in the package, and no test keeps its own ``_exact_zero``.  Neither
 heuristic simplifier, ``simplify`` or ``gammasimp``, appears in the package,
 and deriving a density does not import ``sympy.physics.units`` (which
-``simplify`` loads); importing the CLI does not import numpy.  The Gamma
-normal form ``_gamma_class`` is referred to only inside ``sfunc.py``; other
+``simplify`` loads); importing the CLI does not import numpy.  The geometry
+densities are lambdified for ``math``, which takes the float64 columns as they
+are, so computing a geometry constant does not load ``numpy.f2py``; a
+``numpy``-lambdified density would, through its ``from numpy import *``, with
+some two hundred other modules.  The Gamma normal form ``_gamma_class`` is referred to only inside ``sfunc.py``; other
 modules use ``exact_zero`` and ``rationalize``.  Both go through the one
 sparse rational-function field built in ``sfunc._field``, in one walk over the
 input with each Gamma factor rewritten at its leaf: ``_field`` and
@@ -355,6 +358,17 @@ def test_density_derivation_imports_no_units():
             "from dtnzeta.symbolint import a0_density, q_density\n"
             "a0_density(2, 1), q_density(3, 0)\n"
             "print('sympy.physics.units' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_geometry_constant_loads_no_numpy_namespace():
+    code = ("import sys\n"
+            "from dtnzeta.cli import RunConfig, run\n"
+            "run(RunConfig(command='geom-constants', geometry='unit-ball', q=0))\n"
+            "print('numpy.f2py' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
