@@ -83,16 +83,17 @@ class GeometrySpec:
             raise ValueError(f"geometry field 'label' must be a string, got {self.label!r}")
         for name in ("V", "ellY"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(
-                    f"geometry field {name!r} must be a finite number, got {value!r}")
+            try:
+                finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                          and math.isfinite(value))
+            except OverflowError:
+                raise _not_finite(name, _BEYOND_FLOAT64) from None
+            if not finite:
+                raise _not_finite(name, repr(value))
         for name in _COLUMNS:
             column = getattr(self, name)
             if not np.isfinite(column).all():
-                bad = column[~np.isfinite(column)][0]
-                raise ValueError(
-                    f"geometry field {name!r} must be a finite number, got {float(bad)!r}")
+                raise _not_finite(name, repr(float(column[~np.isfinite(column)][0])))
         if self.m not in (2, 3):
             raise ValueError("only interior dimensions 2 and 3 are supported")
         if self.V <= 0 or self.ellY <= 0:
@@ -165,15 +166,24 @@ def _check_keys(obj: dict, keys: tuple, required: tuple) -> None:
             raise ValueError(f"geometry field {name!r} is missing")
 
 
+_BEYOND_FLOAT64 = "an integer beyond the float64 range"
+
+
+def _not_finite(name: str, got: str) -> ValueError:
+    return ValueError(f"geometry field {name!r} must be a finite number, got {got}")
+
+
 def _column(name: str, values: list) -> np.ndarray:
     """The float64 column of geometry field ``name``.  A value that is not an
     int or a float (a bool is neither) is rejected, naming the first, before
-    numpy could read a string such as ``"1.0"`` as a number; finiteness is
-    checked on the column."""
+    numpy could read a string such as ``"1.0"`` as a number, and so is an int
+    that no float64 holds; finiteness is checked on the column."""
     if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise ValueError(f"geometry field {name!r} must be a finite number, got {bad!r}")
-    return np.array(values, dtype=np.float64)
+        raise _not_finite(name, repr(next(v for v in values if type(v) not in (int, float))))
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise _not_finite(name, _BEYOND_FLOAT64) from None
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +308,13 @@ def conformal_variation_check(geom: GeometrySpec, boundary_values,
     For the disk (``m = 2``, degree 0) and a conformal factor ``exp(2 eps F)``,
     the variations of the two log-determinants, of the gluing constant, of the
     Gram determinant, and of the boundary length assemble to an identity whose
-    total first-order variation vanishes.  Each integral is evaluated by its
-    own quadrature (boundary trapezoid over the supplied samples, interior
-    polar Gauss-Legendre at two resolutions), so the returned residual
-    reflects genuine numerical error rather than exact cancellation.
+    total first-order variation vanishes.  As written, the residual cancels
+    its boundary terms exactly: the ``kappa`` terms are subtracted from
+    themselves, and ``int d_n F`` and ``int F`` each enter two of the
+    variations with equal weights.  What is left is ``2 (vol_coarse -
+    vol_fine) / V``, the interior integral of ``F`` by polar Gauss-Legendre at
+    two resolutions, so the residual measures that quadrature and does not
+    depend on the boundary samples (up to rounding).
 
     Parameters
     ----------

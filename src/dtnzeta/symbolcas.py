@@ -15,9 +15,10 @@ operator on tangential forms:
   expansion ``alpha~``;
 * the resolvent symbols ``r_{-1}, r_{-2}, r_{-3}`` of the projected operator,
   split into the labelled pieces used by the density computation;
-* a boundary-point substitution table resolving every metric/connection jet
-  into principal curvatures ``kappa_a``, scalar curvatures ``tau_M, tau_Y``
-  and jet symbols, the set of which is fixed by ``(m, q)``.
+* one boundary-point table per chart, ``BoundaryChart.point``, mapping every
+  metric/connection jet that has a value at the point to that value in
+  principal curvatures ``kappa_a``, scalar curvatures ``tau_M, tau_Y`` and
+  opaque jet symbols, the set of which is fixed by ``(m, q)``.
 
 All algebra is exact (sympy); no floating point enters this module.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from math import comb
 
 import sympy as sp
@@ -199,9 +200,10 @@ class BoundaryChart:
     Every metric/connection coefficient is the order-0 jet symbol of a
     generic function of the boundary normal coordinates (:func:`_jet_symbol`);
     ``d_y`` and ``d_norm`` take jets to higher jets exactly, so symbol
-    manipulations produce genuine jets.  A separate substitution table
-    (:meth:`_resolve_jet`) evaluates them at the distinguished point, applied
-    by :meth:`eval_at_boundary_point` or at the leaves of
+    manipulations produce genuine jets.  One table built with the chart,
+    :attr:`point` (:meth:`_point_table`), holds their values at the
+    distinguished point; :meth:`point_value` reads it, for
+    :meth:`eval_at_boundary_point` and at the leaves of
     :func:`_laurent_expansion`.
     """
 
@@ -251,9 +253,8 @@ class BoundaryChart:
         self.Id = eye(self.n_full)
         self.Id_proj = eye(self.n_proj)
 
-        self.must_cancel = self._must_cancel()
         self.conn_values = connection_matrices(m, q, self.kappas)
-        self.e_value_matrix = self._e_value_matrix()
+        self.point, self.must_cancel = self._point_table()
 
     # -- elementary operations --------------------------------------------
     def d_xi(self, X, a: int):
@@ -407,159 +408,101 @@ class BoundaryChart:
         r3 = sum(pieces.values(), zeros(n, n))
         return {"r1": r1, "r2": r2, "r3": r3, **pieces}
 
-    # -- boundary-point substitution table --------------------------------
-    def dom_symbol(self, k: int, i: int, j: int, direction: int) -> Symbol:
-        """Jet symbol for ``d_{direction} omega_k[i, j]`` at the base point.
+    # -- boundary-point table ----------------------------------------------
+    def _point_table(self) -> tuple[dict[Symbol, sp.Expr], frozenset[Symbol]]:
+        """Every coefficient jet with a value at the distinguished boundary
+        point, mapped to that value, and the opaque values that must cancel.
 
-        ``direction`` is a 0-based coordinate index; ``direction == m-1`` is
-        the normal direction.
+        ``g^{ab}`` and ``ln|g|`` are resolved through their second jets,
+        ``omega_k`` through its first and ``E`` and the Christoffel symbols at
+        the point only.  The boundary coordinates are normal at the point, and
+        for ``d <= 2`` the boundary curvature there is ``(tau_Y/2)(delta_ad
+        delta_bc - delta_ac delta_bd)``, so ``d_c1 d_c2 g^{ab} = tau_Y
+        (2 delta_ab delta_c1c2 - delta_ac2 delta_c1b - delta_ac1 delta_c2b)/6``
+        and ``d_c1 d_c2 ln|g| = -(d-1) tau_Y delta_c1c2/3``.  The trace
+        ``glow`` of the second normal jet of the lower metric is ``2 sum_a
+        kappa_a^2 - 2 Ric(n, n)`` (Riccati equation), and ``Ric(n, n)`` comes
+        from the Gauss equation (``tau_M/2`` for ``m = 2``); on 1-forms in
+        dimension 3 the trace ``tau_M`` then fixes ``Ric_11``.
+
+        The values no curvature fixes are opaque symbols made by ``opaque``:
+        the mixed normal/tangential jets of ``g^{ab}`` and ``ln|g|``, the
+        second normal jets of ``g^{ab}`` off the diagonal and on it but the
+        first, which is the trace less them, and the Ricci components of
+        ``E`` that no trace fixes.  They carry no curvature data and must
+        drop out of every integrated density.  The first jets of ``omega``
+        are symbols too, but the densities keep them.
         """
-        return _jet(f"dom{k}_{i}_{j}_c{direction}")
+        m, d, n, k, tY = self.m, self.d, self.n_full, self.kappas, self.tauY
+        opaques = []
 
-    def _riem_Y(self, a, b, c, d) -> sp.Expr:
-        """Boundary curvature ``R_{abcd}`` (0-based indices, sign so that
-        ``sum_b R_{abba} = tau_Y``); identically 0 for a 1-dim boundary."""
-        if self.d < 2:
-            return sp.Integer(0)
-        delta = lambda i, j: sp.Integer(1 if i == j else 0)
-        return (self.tauY / 2) * (delta(a, d) * delta(b, c) - delta(a, c) * delta(b, d))
+        def opaque(name):
+            opaques.append(_jet(name))
+            return opaques[-1]
 
-    def _ric_Y(self, a, b) -> sp.Expr:
-        return sum(self._riem_Y(a, e, e, b) for e in range(self.d))
+        jet = lambda f, *directions: reduce(_derive, directions, f)
+        sq = sum(x ** 2 for x in k)
+        glow = (2 * k[0] ** 2 - self.tauM if m == 2
+                else 2 * (k[0] + k[1]) ** 2 - 6 * k[0] * k[1] - self.tauM + tY)
+        gmm = [opaque(f"Gmm{a + 1}") for a in range(1, d)]
+        gmm = [8 * sq - glow - sum(gmm, S.Zero), *gmm]  # the first is the trace less the rest
+        point = {}
+        for a in range(d):
+            for b in range(a, d):
+                g = self.gu[a, b]
+                point[g] = sp.Integer(a == b)
+                point[jet(g, d)] = 2 * k[a] * int(a == b)
+                for c1 in range(d):
+                    point[jet(g, c1)] = S.Zero
+                    point[jet(g, c1, d)] = opaque(f"Jgu{a}{b}m{c1}")
+                    for c2 in range(c1, d):
+                        point[jet(g, c1, c2)] = tY * Rational(
+                            2 * (a == b) * (c1 == c2) - (a == c2) * (c1 == b)
+                            - (a == c1) * (c2 == b), 6)
+                point[jet(g, d, d)] = gmm[a] if a == b else opaque(f"Gmmo{a}{b}")
+        lng = self.lng
+        point[lng] = S.Zero
+        point[jet(lng, d)] = -2 * sum(k)
+        for c1 in range(d):
+            point[jet(lng, c1)] = S.Zero
+            point[jet(lng, c1, d)] = opaque(f"Jlngm{c1}")
+            for c2 in range(c1, d):
+                point[jet(lng, c1, c2)] = tY * Rational(-(d - 1) * (c1 == c2), 3)
+        point[jet(lng, d, d)] = -4 * sq + glow
 
-    @property
-    def sum_glow_mm(self) -> sp.Expr:
-        """Trace of the second normal jet of the *lower* metric at the point."""
-        k = self.kappas
-        if self.m == 2:
-            return 2 * k[0] ** 2 - self.tauM
-        return 2 * (k[0] + k[1]) ** 2 - 6 * k[0] * k[1] - self.tauM + self.tauY
+        for K, (om, values) in enumerate(zip(self.om, self.conn_values), start=1):
+            for i in range(n):
+                for j in range(n):
+                    point[om[i, j]] = values[i, j]
+                    point.update({jet(om[i, j], c): _jet(f"dom{K}_{i}_{j}_c{c}")
+                                  for c in range(m)})
 
-    def _resolve_jet(self, fname: str, counts: tuple[int, ...]) -> sp.Expr:
+        if self.q == 0:
+            E = zeros(n, n)
+        elif m == 2:  # full Ricci endomorphism on 1-forms
+            r11, r12, r22 = map(opaque, ("RicM11", "RicM12", "RicM22"))
+            E = -Matrix([[r11, r12], [r12, r22]])
+        else:
+            ric_nn = (self.tauM - tY) / 2 + k[0] * k[1]
+            if self.q == 1:  # full Ricci endomorphism on 1-forms
+                r12, r13, r22, r23 = map(opaque, ("RicM12", "RicM13", "RicM22", "RicM23"))
+                E = -Matrix([[self.tauM - r22 - ric_nn, r12, r13],
+                             [r12, r22, r23], [r13, r23, ric_nn]])
+            else:  # basis {e1^e2, e3^e1, e3^e2}
+                r11, r22, c2113, c1223, c1332 = map(
+                    opaque, ("RicM11", "RicM22", "RM2113", "RM1223", "RM1332"))
+                E = Matrix([[-ric_nn, -c2113, c1223], [-c2113, -r22, c1332],
+                            [c1223, c1332, -r11]])
+        point.update({self.E[i, j]: E[i, j] for i in range(n) for j in range(i, n)})
+        point.update(dict.fromkeys(self.Gam.values(), S.Zero))
+        return point, frozenset(opaques)
+
+    def point_value(self, jet: Symbol) -> sp.Expr:
         """Value of a coefficient jet at the distinguished boundary point."""
-        m, d = self.m, self.d
-        tang = counts[:d]
-        nrm = counts[d]
-        total = sum(counts)
-        delta = lambda i, j: sp.Integer(1 if i == j else 0)
-
-        if fname.startswith("gu"):
-            a, b = int(fname[2]) - 1, int(fname[3]) - 1
-            if total == 0:
-                return delta(a, b)
-            if total == 1:
-                if nrm == 1:
-                    return 2 * self.kappas[a] * delta(a, b)
-                return sp.Integer(0)
-            if total == 2:
-                if nrm == 0:
-                    idx = [c for c in range(d) for _ in range(tang[c])]
-                    c1, c2 = idx
-                    return Rational(1, 3) * (self._riem_Y(a, c1, c2, b)
-                                             + self._riem_Y(a, c2, c1, b))
-                if nrm == 1:
-                    return _jet(f"Jgu{a}{b}m{tang.index(1)}")
-                if a != b:
-                    return _jet(f"Gmmo{a}{b}")
-                if a > 0:
-                    return _jet(f"Gmm{a + 1}")
-                # only the trace sum_a d_m^2 g^{aa} is known: it fixes the first
-                return (8 * sum(k ** 2 for k in self.kappas) - self.sum_glow_mm
-                        - sum((_jet(f"Gmm{c + 1}") for c in range(1, d)), sp.Integer(0)))
-            raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
-
-        if fname == "lng":
-            if total == 0:
-                return sp.Integer(0)
-            if total == 1:
-                if nrm == 1:
-                    return -2 * sum(self.kappas)
-                return sp.Integer(0)
-            if total == 2:
-                if nrm == 0:
-                    idx = [c for c in range(d) for _ in range(tang[c])]
-                    c1, c2 = idx
-                    return -Rational(2, 3) * self._ric_Y(c1, c2)
-                if nrm == 1:
-                    return _jet(f"Jlngm{tang.index(1)}")
-                return -4 * sum(k ** 2 for k in self.kappas) + self.sum_glow_mm
-            raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
-
-        if fname.startswith("om"):
-            head, i, j = fname.split("_")
-            k, i, j = int(head[2:]), int(i), int(j)
-            if total == 0:
-                return self.conn_values[k - 1][i, j]
-            if total == 1:
-                direction = counts.index(1)
-                return self.dom_symbol(k, i, j, direction)
-            raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
-
-        if fname.startswith("EE_"):
-            _, i, j = fname.split("_")
-            if total == 0:
-                return self.e_value_matrix[int(i), int(j)]
-            raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
-
-        if fname.startswith("Gam"):
-            if total == 0:
-                return sp.Integer(0)
-            raise JetResolutionError(f"unresolvable jet: {fname} counts={counts}")
-
-        raise JetResolutionError(f"unknown coefficient function: {fname}")
-
-    def _e_value_matrix(self) -> Matrix:
-        """Value of the curvature endomorphism at the point, in curvature symbols.
-
-        For ``m = 3`` the Gauss equation gives ``Ric(n, n) = (tau_M - tau_Y)/2
-        + kappa_1 kappa_2``, and on 1-forms the trace ``tau_M`` then fixes
-        ``Ric_11``; every other Ricci entry stays a symbol in :attr:`must_cancel`.
-        """
-        m, q, n = self.m, self.q, self.n_full
-        if q == 0:
-            return zeros(n, n)
-        if m == 2:  # full Ricci endomorphism on 1-forms
-            r11, r12, r22 = (Symbol(s, real=True) for s in ("RicM11", "RicM12", "RicM22"))
-            return Matrix([[-r11, -r12], [-r12, -r22]])
-        ric_nn = (self.tauM - self.tauY) / 2 + self.kappas[0] * self.kappas[1]
-        if q == 1:  # full Ricci endomorphism on 1-forms, dim 3
-            r = {(i, j): Symbol(f"RicM{min(i,j)+1}{max(i,j)+1}", real=True)
-                 for i in range(3) for j in range(3)}
-            r[2, 2] = ric_nn
-            r[0, 0] = self.tauM - r[1, 1] - ric_nn
-            return Matrix(3, 3, lambda i, j: -r[(i, j)])
-        # q == 2, basis {e1^e2, e3^e1, e3^e2}
-        r11, r22 = (Symbol(s, real=True) for s in ("RicM11", "RicM22"))
-        c2113 = Symbol("RM2113", real=True)
-        c1223 = Symbol("RM1223", real=True)
-        c1332 = Symbol("RM1332", real=True)
-        return Matrix([
-            [-ric_nn, -c2113, c1223],
-            [-c2113, -r22, c1332],
-            [c1223, c1332, -r11],
-        ])
-
-    def _must_cancel(self) -> frozenset[Symbol]:
-        """Jet symbols that carry no curvature data and must drop out of every
-        integrated density.
-
-        These are the mixed normal/tangential jets of ``g^{ab}`` and ``ln|g|``,
-        the off-diagonal second normal jets of ``g^{ab}``, the diagonal ones
-        but the first, which the table resolves through their known trace, and
-        the Ricci components of the curvature endomorphism that no trace fixes.
-        """
-        d = self.d
-        pairs = [(a, b) for a in range(d) for b in range(a, d)]
-        names = [f"Jgu{a}{b}m{c}" for a, b in pairs for c in range(d)]
-        names += [f"Gmmo{a}{b}" for a, b in pairs if a != b]
-        names += [f"Jlngm{c}" for c in range(d)]
-        names += [f"Gmm{a + 1}" for a in range(1, d)]
-        names += {
-            (2, 1): ["RicM11", "RicM12", "RicM22"],
-            (3, 1): ["RicM12", "RicM13", "RicM22", "RicM23"],
-            (3, 2): ["RicM11", "RicM22", "RM2113", "RM1223", "RM1332"],
-        }.get((self.m, self.q), [])
-        return frozenset(_jet(name) for name in names)
+        try:
+            return self.point[jet]
+        except KeyError:
+            raise JetResolutionError(f"unresolvable jet: {jet}") from None
 
     def eval_at_boundary_point(self, expr):
         """Substitute every coefficient jet by its boundary-point value.
@@ -569,8 +512,8 @@ class BoundaryChart:
         """
         if isinstance(expr, Matrix):
             return expr.applyfunc(self.eval_at_boundary_point)
-        return expr.xreplace({s: self._resolve_jet(*key) for s in expr.free_symbols
-                              if (key := _jet_key(s)) is not None})
+        return expr.xreplace({s: self.point_value(s) for s in expr.free_symbols
+                              if _jet_key(s) is not None})
 
 
 @lru_cache(maxsize=None)
@@ -642,7 +585,7 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     ``lam = v**2 - |xi|_g^2`` (so ``w = sqrt(v**2) = v``), and shifts the
     spectral parameter, ``mu -> t + v``, so that ``t`` is the gap ``mu - w``.
     With ``at_point`` every coefficient jet is replaced by its value at the
-    distinguished boundary point (:meth:`BoundaryChart._resolve_jet`), and
+    distinguished boundary point (:meth:`BoundaryChart.point_value`), and
     ``|xi|_g^2`` is ``|xi|^2``.  Without it the jets stay generators and ``|xi|_g^2`` is
     ``g^{ab} xi_a xi_b``.  Every denominator the calculus produces is a power
     of ``w`` or of ``mu - w`` (``1/(mu - w)``, ``d_xi w``, ``d_y w``), so
@@ -668,8 +611,7 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     xi_sq = Add(*[xi ** 2 for xi in ch.xis]) if at_point else ch.w ** 2 - ch.lam
     leaves = {ch.lam: v ** 2 - xi_sq, ch.mu: t + v}
     if at_point:
-        leaves.update({s: ch._resolve_jet(*key) for s in symbols
-                       if (key := _jet_key(s)) is not None})
+        leaves.update({s: ch.point_value(s) for s in symbols if _jet_key(s) is not None})
 
     def atoms(x):
         return set().union(*map(atoms, leaves[x].free_symbols)) if x in leaves else {x}

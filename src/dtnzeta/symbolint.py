@@ -204,9 +204,9 @@ def _generators(q: int):
         TrE = -(ch.tauM + ch.tauY) / 2 + H2
     else:
         TrE = -(ch.tauM - ch.tauY) / 2 - H2
-    Tdom_tan = sum(ch.dom_symbol(a + 1, i, i, a)
+    Tdom_tan = sum(ch.point[ch.d_y(ch.om[a][i, i], a)]
                    for a in range(2) for i in range(ch.n_proj))
-    Tdom_m = sum(ch.dom_symbol(3, i, i, 2) for i in range(ch.n_proj))
+    Tdom_m = sum(ch.point[ch.d_norm(ch.om[2][i, i])] for i in range(ch.n_proj))
     return ch, r0, H1, H2, TrOm, TrOm2, TrOmAlAl, TrE, Tdom_tan, Tdom_m
 
 

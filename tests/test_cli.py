@@ -351,6 +351,25 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith(
             f"error: schema-or-range: geometry field {field!r} must be ")
 
+    @pytest.mark.parametrize("field", ["w", "kappa", "tau_M", "tau_Y", "V", "ellY"])
+    def test_geometry_integer_beyond_float64_exit_code(self, tmp_path, capsys, field):
+        # a JSON integer that no float64 holds raised an OverflowError, reported
+        # only as "parameters outside the float64 range of the pipeline"
+        payload = json.loads(geom.unit_ball(n_polar=2, n_azimuth=2).to_json())
+        big = 10 ** 400
+        if field in ("V", "ellY"):
+            payload[field] = big
+        else:
+            payload["nodes"][0][field] = [big, 1.0] if field == "kappa" else big
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert main(["geom-constants", "--file", str(path), "--q", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: schema-or-range: geometry field {field!r} must be a finite number, "
+            "got an integer beyond the float64 range"]
+
     @pytest.mark.parametrize("head, make", [
         pytest.param("geometry field 'nodes' must be ", lambda g: {**g, "nodes": 5},
                      id="nodes-number"),

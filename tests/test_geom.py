@@ -88,6 +88,49 @@ class TestMeanCurvatures:
                 GeometrySpec(m=m, **_node(kappa=kappa), V=1.0, ellY=1.0)
 
 
+class TestTangentialJets:
+    """The tangential second jets of ``g^{ab}`` and ``ln|g|`` in the point
+    table against the round unit sphere (``tau_Y = 2``) in Riemann normal
+    coordinates ``y`` at a point.  The metric is pulled back by the
+    exponential map ``y -> (cos r, y sin(r)/r)``, ``r = |y|``, whose two
+    functions sympy expands in ``r**2`` far enough for second jets."""
+
+    Y = sp.symbols("y1 y2", real=True)
+
+    @classmethod
+    def _mismatches(cls, tau_Y):
+        ch = chart(3, 0)
+        u = cls.Y[0] ** 2 + cls.Y[1] ** 2
+        r = sp.Symbol("r", positive=True)
+        cos_r, sinc_r = (sp.series(f, r, 0, 4).removeO().subs(r, sp.sqrt(u))
+                         for f in (sp.cos(r), sp.sin(r) / r))
+        J = sp.Matrix([cos_r, sinc_r * cls.Y[0], sinc_r * cls.Y[1]]).jacobian(cls.Y)
+        h = (J.T * J).applyfunc(sp.expand)
+        at_origin = dict.fromkeys(cls.Y, 0)
+
+        def explicit(f, c1, c2):
+            return sp.diff(f, cls.Y[c1], cls.Y[c2]).subs(at_origin)
+
+        h_inv = h.inv()
+        fields = [(ch.gu[a, b], h_inv[a, b]) for a in range(2) for b in range(a, 2)]
+        fields.append((ch.lng, sp.log(h.det())))
+        bad = []
+        for c1 in range(2):
+            for c2 in range(c1, 2):
+                for jet, f in fields:
+                    value = ch.point_value(ch.d_y(ch.d_y(jet, c1), c2)).subs(ch.tauY, tau_Y)
+                    if value != explicit(f, c1, c2):
+                        bad.append((jet, c1, c2))
+        return bad
+
+    def test_unit_sphere(self):
+        assert self._mismatches(2) == []
+
+    def test_negative_control_tau_y_off_by_one(self):
+        # tau_Y = 3 where the sphere has 2: the check must see it
+        assert self._mismatches(3)
+
+
 class TestGeometrySpec:
     def test_weight_sum_invariant(self):
         with pytest.raises(ValueError):

@@ -240,14 +240,37 @@ class TestMatrixProduct:
 class TestChartPurity:
     def test_jet_resolution_leaves_chart_unchanged(self):
         # the transforms behind pi0_density(1) and a0_density(3, 1), run on a
-        # chart of its own: what must cancel is fixed by (m, q) alone
+        # chart of its own: the table and what must cancel are fixed by (m, q)
+        # alone
         ch = BoundaryChart(3, 1)
-        before = ch.must_cancel
+        before, point = ch.must_cancel, dict(ch.point)
         res = ch.resolvent()
         transform(ch, res["r1"])
         transform(ch, res["r3"])
         assert ch.must_cancel == before
+        assert ch.point == point
         assert len(ch.must_cancel) == 14
+
+
+class TestPointTable:
+    """The boundary-point table covers the calculus: every jet the graded
+    symbols and the resolvent reach has a value, and every value is written in
+    curvatures, must-cancel jets and first jets of ``omega``."""
+
+    @pytest.mark.parametrize("m, q, opaque", [
+        (2, 0, 2), (2, 1, 5), (3, 0, 10), (3, 1, 14), (3, 2, 15)])
+    def test_covers_the_calculus(self, m, q, opaque):
+        ch = chart(m, q)
+        mats = [*ch.alphas_full(), *ch.alphas_tilde(), *ch.resolvent().values()]
+        reached = {s for M in mats for e in M for s in e.free_symbols
+                   if _jet_key(s) is not None}
+        assert reached and reached <= ch.point.keys()
+        omega_jets = {ch.point[ch.d_y(e, c)] for om in ch.om for e in om for c in range(m)}
+        curvatures = {*ch.kappas, ch.tauM, ch.tauY}
+        values = set().union(*(v.free_symbols for v in ch.point.values()))
+        assert values <= curvatures | ch.must_cancel | omega_jets
+        assert not ch.must_cancel & omega_jets
+        assert len(ch.must_cancel) == opaque
 
 
 class TestStarCompose:

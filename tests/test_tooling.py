@@ -44,6 +44,10 @@ and the session runs on: ``tests/conftest.py`` imports the module Hypothesis's
 pytest plugin loads on a failure, whose import warning would otherwise end the
 session with ``INTERNALERROR`` under ``filterwarnings = ["error"]``.
 
+The opaque jets of the boundary-point table, the must-cancel jets and the
+first jets of ``omega``, are named in string literals only inside
+``BoundaryChart._point_table``, which builds the table.
+
 No method of ``symbolcas.BoundaryChart`` but ``__init__`` assigns to an
 attribute of the chart or to an item inside one: a chart is shared through
 the cached ``chart(m, q)``, and its stage methods are memoized with
@@ -314,6 +318,35 @@ def test_proofs_do_not_share_the_composition_term():
         if "_compose_term" in {name for name, _ in _references(fn)}:
             found.append(function)
     assert not found, found
+
+
+# the names of the opaque jets: must-cancel jets and first jets of omega
+OPAQUE_NAME = re.compile(r"\b(Jgu|Gmmo?|Jlngm|dom|RicM|RM)(\d|\b)")
+
+
+def _strings(node, function=None):
+    """``(text, enclosing method or function)`` of every string literal, each
+    literal piece of an f-string included; a nested function counts as the
+    one that encloses it."""
+    for child in ast.iter_child_nodes(node):
+        inner = function
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            inner = child.name
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value, function
+        yield from _strings(child, inner)
+
+
+def test_opaque_jet_names_have_one_home():
+    # the opaque values of the boundary-point table are named where the table
+    # is built and nowhere else: no second list of what must cancel, and no
+    # caller formats a jet name to look its value up
+    homes = set()
+    for path in sorted((ROOT / "src" / "dtnzeta").glob("*.py")):
+        for text, function in _strings(ast.parse(path.read_text())):
+            if OPAQUE_NAME.search(text):
+                homes.add((path.name, function))
+    assert homes == {("symbolcas.py", "_point_table")}
 
 
 def _written_self_attr(target):
