@@ -5,10 +5,14 @@ float64 columns of weights, pointwise principal curvatures and scalar
 curvatures, plus the interior volume and boundary volume.  On top of it this
 module evaluates:
 
-* the determinant-gluing constant ``a0`` (integral of the derived boundary
-  density),
-* the zeta-at-zero constant (integral of twice the derived half-density),
+* the determinant-gluing constant ``a0`` (integral of the boundary density),
+* the zeta-at-zero constant (integral of twice the half-density),
 * the conformal-variation identity in dimension 2.
+
+The densities integrated are the paper's closed forms
+(``symbolint.a0_reference`` and ``q_density_reference``), which the Tier-1
+tests and ``derive-a0`` prove equal to the symbol derivation.  So a fault in
+the derivation shows in ``derive-a0``, not in the constants' golden rows.
 
 Accuracy is the node supplier's contract: the integrands are fixed polynomials
 in the supplied pointwise fields, so fixed-weight quadrature is exact up to
@@ -26,7 +30,8 @@ import numpy as np
 import sympy as sp
 
 from .symbolcas import chart
-from .symbolint import a0_density, q_density
+# a0_density and q_density are unused here: perfbench/tracing.py wraps them in geom
+from .symbolint import a0_density, a0_reference, q_density, q_density_reference
 
 __all__ = [
     "GeometrySpec",
@@ -130,7 +135,7 @@ class GeometrySpec:
     @staticmethod
     def from_json(text: str) -> "GeometrySpec":
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, parse_int=_parse_int)
         except RecursionError:
             raise ValueError("a geometry file nests its JSON too deeply to parse") from None
         if not isinstance(payload, dict):
@@ -154,6 +159,16 @@ class GeometrySpec:
             tau_M=_column("tau_M", [n.get("tau_M", 0.0) for n in nodes]),
             tau_Y=_column("tau_Y", [n.get("tau_Y", 0.0) for n in nodes]),
             V=payload["V"], ellY=payload["ellY"], label=payload.get("label", ""))
+
+
+def _parse_int(literal: str) -> int:
+    """A JSON integer literal.  One of more than 309 digits is at least
+    ``10**309`` (JSON has no leading zeros), beyond float64, and comes back as
+    a signed ``10**309`` for the field checks to reject, since ``int()``
+    refuses literals over the interpreter's digit limit."""
+    if len(literal.lstrip("-")) > 309:
+        return -10 ** 309 if literal.startswith("-") else 10 ** 309
+    return int(literal)
 
 
 def _check_keys(obj: dict, keys: tuple, required: tuple) -> None:
@@ -194,13 +209,17 @@ def _column(name: str, values: list) -> np.ndarray:
 def _density_fn(m: int, q: int, kind: str):
     """Lambdified boundary density: ``a0`` density or zeta-at-zero density.
 
-    The density goes through its polynomial in the curvature fields, so the
-    arithmetic does not depend on how the density happens to be printed, and
-    the ``math``-lambdified polynomial takes the float64 columns as they are
-    (a ``numpy``-lambdified one would load numpy's whole namespace).
+    The density is the paper's closed form (``a0_reference``, twice
+    ``q_density_reference``), which the Tier-1 tests and ``derive-a0`` prove
+    equal to the symbol derivation; no process re-derives it to integrate it.
+    It goes through its polynomial in the curvature fields, so the arithmetic
+    does not depend on how the density happens to be printed (the derived and
+    the closed-form polynomial are equal term by term), and the
+    ``math``-lambdified polynomial takes the float64 columns as they are (a
+    ``numpy``-lambdified one would load numpy's whole namespace).
     """
     ch = chart(m, q)
-    expr = a0_density(m, q) if kind == "a0" else 2 * q_density(m, q)
+    expr = a0_reference(m, q) if kind == "a0" else 2 * q_density_reference(m, q)
     args = list(ch.kappas) + [ch.tauM, ch.tauY]
     return sp.lambdify(args, sp.Poly(expr, *args).as_expr(), modules="math")
 
@@ -222,12 +241,15 @@ def _quadrature(geom: GeometrySpec, q: int, kind: str) -> float:
 
 
 def a0_constant(geom: GeometrySpec, q: int) -> float:
-    """Determinant-gluing constant: quadrature of the derived a0 density."""
+    """Determinant-gluing constant: quadrature of the paper's closed-form a0
+    density, proved equal to the derived one by the Tier-1 tests and ``derive-a0``."""
     return _quadrature(geom, q, "a0")
 
 
 def zeta0_constant(geom: GeometrySpec, q: int) -> float:
-    """Zeta value at zero plus the harmonic-space dimension, by quadrature."""
+    """Zeta value at zero plus the harmonic-space dimension: quadrature of twice
+    the paper's closed-form half-density, proved equal to the derived one by
+    the Tier-1 tests and ``derive-a0``."""
     return _quadrature(geom, q, "zeta0")
 
 

@@ -370,6 +370,29 @@ class TestMain:
             f"error: schema-or-range: geometry field {field!r} must be a finite number, "
             "got an integer beyond the float64 range"]
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("field", ["w", "kappa", "tau_M", "tau_Y", "V", "ellY", "m"])
+    def test_geometry_integer_beyond_digit_limit_exit_code(self, tmp_path, capsys, field,
+                                                           sign):
+        # a JSON integer of more digits than int() converts (4300) was reported
+        # only as Python's "Exceeds the limit (4300 digits) for integer string
+        # conversion", naming no field
+        payload = json.loads(geom.unit_ball(n_polar=2, n_azimuth=2).to_json())
+        if field in ("V", "ellY", "m"):
+            payload[field] = "BIG"
+        else:
+            payload["nodes"][0][field] = ["BIG", 1.0] if field == "kappa" else "BIG"
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload).replace('"BIG"', sign + "1" + "0" * 5000))
+        assert main(["geom-constants", "--file", str(path), "--q", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: schema-or-range: only interior dimensions 2 and 3 are supported"
+            if field == "m" else
+            f"error: schema-or-range: geometry field {field!r} must be a finite number, "
+            "got an integer beyond the float64 range"]
+
     @pytest.mark.parametrize("head, make", [
         pytest.param("geometry field 'nodes' must be ", lambda g: {**g, "nodes": 5},
                      id="nodes-number"),

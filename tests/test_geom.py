@@ -18,6 +18,7 @@ from dtnzeta.geom import (
     zeta0_constant,
 )
 from dtnzeta.symbolcas import chart
+from dtnzeta.symbolint import a0_density, a0_reference, q_density, q_density_reference
 
 
 R = sp.Symbol("r")
@@ -161,11 +162,30 @@ class TestConstants:
         values = []
         for form in ((-2 * kappa * sp.log(2) + kappa) / (2 * sp.pi),
                      kappa * (1 - 2 * sp.log(2)) / (2 * sp.pi)):
-            monkeypatch.setattr("dtnzeta.geom.a0_density", lambda m, q, form=form: form)
+            monkeypatch.setattr("dtnzeta.geom.a0_reference", lambda m, q, form=form: form)
             _density_fn.cache_clear()
             values.append(a0_constant(g, 1))
         _density_fn.cache_clear()
         assert values[0] == values[1]
+
+    # closed-form (a0, zeta0) constants of the unit disk and the unit ball
+    CLOSED = {("disk", 0): (1.0, 0.0), ("disk", 1): (1 - 2 * math.log(2), -2.0),
+              ("ball", 0): (3 / 8, 1 / 3), ("ball", 1): (-3 / 4, -1 / 3),
+              ("ball", 2): (7 / 8, 4 / 3)}
+
+    def test_constants_do_not_derive(self, monkeypatch):
+        # the symbol derivation ran in every process that computed a constant
+        def derive(*args):
+            raise AssertionError("a geometry constant re-derived its density")
+
+        for target in ("dtnzeta.symbolint._deep_transform", "dtnzeta.geom.a0_density",
+                       "dtnzeta.geom.q_density"):
+            monkeypatch.setattr(target, derive)
+        _density_fn.cache_clear()
+        geoms = {"disk": unit_disk(), "ball": unit_ball()}
+        for (name, q), (a0, zeta0) in self.CLOSED.items():
+            assert abs(a0_constant(geoms[name], q) - a0) < 1e-12
+            assert abs(zeta0_constant(geoms[name], q) - zeta0) < 1e-12
 
     def test_disk(self):
         d = unit_disk()
@@ -189,6 +209,38 @@ class TestConstants:
         d = unit_disk()
         total = sum(d.w * d.kappa[:, 0])
         assert abs(total / (2 * math.pi) - 1.0) < 1e-12
+
+
+FIBERS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+DENSITIES = [pytest.param(a0_density, a0_reference, id="a0"),
+             pytest.param(lambda m, q: 2 * q_density(m, q),
+                          lambda m, q: 2 * q_density_reference(m, q), id="zeta0")]
+
+
+def _fields(m, q):
+    ch = chart(m, q)
+    return (*ch.kappas, ch.tauM, ch.tauY)
+
+
+class TestClosedFormDensities:
+    """The constants integrate the closed forms in place of the derived
+    densities; their floats cannot move when the two polynomials are equal
+    term by term, which is stronger than ``exact_zero`` of the difference."""
+
+    @pytest.mark.parametrize("derived, reference", DENSITIES)
+    @pytest.mark.parametrize("m,q", FIBERS)
+    def test_closed_form_polynomial_is_the_derived_one(self, m, q, derived, reference):
+        f = _fields(m, q)
+        assert sp.Poly(derived(m, q), *f) == sp.Poly(reference(m, q), *f)
+
+    @pytest.mark.parametrize("m,q", FIBERS)
+    def test_negative_control_one_coefficient_off(self, m, q):
+        # one coefficient of the closed form scaled by 1 + 1e-6: the check must see it
+        f = _fields(m, q)
+        terms = sp.Poly(a0_reference(m, q), *f).as_dict()
+        terms[next(iter(terms))] *= 1 + sp.Rational(1, 10 ** 6)
+        off = sp.Poly.from_dict(terms, *f).as_expr()
+        assert sp.Poly(a0_density(m, q), *f) != sp.Poly(off, *f)
 
 
 class TestScalingInvariance:
