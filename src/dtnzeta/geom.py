@@ -309,17 +309,22 @@ def rescale(geom: GeometrySpec, c: float) -> GeometrySpec:
 # ---------------------------------------------------------------------------
 
 def _polar_disk_integral(f, n_r: int, n_t: int) -> float:
-    """Gauss-Legendre x trapezoid integral of ``f(x, y)`` over the unit disk."""
+    """Gauss-Legendre x trapezoid integral of ``f(x, y)`` over the unit disk.
+
+    ``f`` is called once, on the whole ``(n_r, n_t)`` polar grid; each ring is
+    summed by itself and the rings left to right, as a ring-by-ring loop would.
+    """
     x, w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     theta = np.linspace(0.0, 2 * math.pi, n_t, endpoint=False)
     dt = 2 * math.pi / n_t
+    # broadcast, since an ``f`` such as ``lambda x, y: 1.0`` gives a scalar
+    vals = np.broadcast_to(f(r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)),
+                           (n_r, n_t))
     total = 0.0
-    for ri, wi in zip(r, wr):
-        # broadcast, since an ``f`` such as ``lambda x, y: 1.0`` gives a scalar
-        vals = np.broadcast_to(f(ri * np.cos(theta), ri * np.sin(theta)), theta.shape)
-        total += float(wi * ri * np.sum(vals) * dt)
+    for ri, wi, ring in zip(r, wr, vals):
+        total += float(wi * ri * np.sum(ring) * dt)
     return total
 
 
@@ -346,8 +351,9 @@ def conformal_variation_check(geom: GeometrySpec, boundary_values,
         Samples of ``F`` and of its inward normal derivative at the nodes.
     interior_fn : callable
         ``F(x, y)`` on the interior, used for the volume integrals.  It is
-        called on arrays of points, one ring of the polar grid at a time, and
-        returns an array of their values or one scalar for all of them.
+        called once per resolution on the arrays of all the points of the
+        polar grid, one row per ring, and returns an array of their values or
+        one scalar for all of them.
     """
     if geom.m != 2:
         raise ValueError("the conformal variation check is 2-dimensional")

@@ -18,10 +18,17 @@ expansion is turned into a spectral density:
 * ``mu_residue`` -- the contour residue ``(1/2pi i) oint mu^{-s} (mu - z)^{-j} dmu``
   expressed as a polynomial prefactor in ``s`` times a power of ``z``.
 * ``xi_moment`` -- the exact monomial moment
-  ``(2 pi)^{-d} int xi^e (1 + |xi|^2)^{-P} dxi`` over ``R^d``.
+  ``(2 pi)^{-d} int xi^e (1 + |xi|^2)^{-P} dxi`` over ``R^d``, a rational
+  function of ``s`` whenever its Gamma ratio is one.
 * ``riemann_zeta`` / ``zeta_deriv_at`` -- the Riemann zeta function and its
   derivative at a requested working precision (``mpmath.zeta``, memoized per
   argument, precision and order).
+
+The exact kernels are pure, so each is memoized for the process with
+``functools.lru_cache``: ``_field`` (bounded), ``_gamma_class``, ``_laurent``,
+``gamma_ratio_at_zero``, ``mu_residue`` and ``xi_moment``.  A repeated zero
+test or rational form of the same expression is a lookup, and the cached
+results are shared, so no caller mutates them.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ def rationalize(expr) -> sp.Expr:
     return out
 
 
+@lru_cache(maxsize=4096)
 def _field(expr):
     """``expr`` as an element of the sparse rational-function field
     ``FracField(generators, QQ)``.
@@ -130,7 +138,8 @@ def _field(expr):
     expanded as a sympy expression.
 
     Raises :class:`DomainError` on any other ``s``-dependent atom, and
-    ``ValueError`` on an infinity and on a division by zero.
+    ``ValueError`` on an infinity and on a division by zero.  Memoized for the
+    last 4096 expressions; the element is shared between callers.
     """
     from sympy.polys.fields import FracField
 
@@ -218,6 +227,7 @@ def _prime_logs(arg: sp.Expr) -> sp.Expr | None:
     return sp.Add(*logs)
 
 
+@lru_cache(maxsize=None)
 def _gamma_class(g: sp.gamma) -> sp.Expr:
     """``g = Gamma(a*s + b)`` as its class generator ``Gamma(x)`` times the
     rising factorial ``rf(x, n)``, with the offset ``x - a*s`` in ``(0, 1]``:
@@ -316,6 +326,7 @@ def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
 # Contour residues in the spectral parameter
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def mu_residue(order: int) -> tuple[sp.Expr, int]:
     """Residue data for ``(1/2 pi i) oint mu^{-s} (mu - z)^{-order} dmu``.
 
@@ -335,20 +346,24 @@ def mu_residue(order: int) -> tuple[sp.Expr, int]:
 # Momentum-space moments
 # ---------------------------------------------------------------------------
 
-def xi_moment(dim: int, exponents: tuple[int, ...], p_expr) -> sp.Expr:
+def xi_moment(dim: int, exponents, p_expr) -> sp.Expr:
     """Exact value of ``(2 pi)^{-dim} int_{R^dim} prod xi_i^{e_i} (1+|xi|^2)^{-P} dxi``.
 
     Parameters
     ----------
     dim : dimension of the integration variable.
-    exponents : monomial exponents ``(e_1, ..., e_dim)``; any odd entry gives 0.
+    exponents : monomial exponents ``(e_1, ..., e_dim)``, any sequence of ints;
+        any odd entry gives 0.
     p_expr : the exponent ``P`` as a sympy expression in ``s`` (or a constant).
 
     Returns
     -------
     Exact sympy expression in ``s``:
     ``(2 pi)^{-d} [prod Gamma((e_i+1)/2)] Gamma(P - A - d/2) / Gamma(P)`` with
-    ``A = sum e_i / 2``.
+    ``A = sum e_i / 2``.  When ``n = A + d/2`` is a positive integer (every
+    moment with ``d = 2``) the Gamma ratio is written as the rational function
+    ``1 / rf(P - n, n)``, so the moment reaches ``_field`` with no Gamma class
+    to rewrite.  Memoized per ``(dim, tuple(exponents), P)``.
 
     Raises
     ------
@@ -356,13 +371,17 @@ def xi_moment(dim: int, exponents: tuple[int, ...], p_expr) -> sp.Expr:
         if ``P`` is independent of ``s`` and ``2P <= sum e_i + dim``, or if the
         coefficient of ``s`` in ``P`` is not positive when ``P`` depends on ``s``.
     """
+    return _xi_moment(dim, tuple(exponents), sp.sympify(p_expr))
+
+
+@lru_cache(maxsize=None)
+def _xi_moment(dim: int, exponents: tuple[int, ...], P: sp.Expr) -> sp.Expr:
     if len(exponents) != dim:
         raise ValueError("exponent tuple length must equal dim")
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
     if any(e % 2 == 1 for e in exponents):
         return sp.Integer(0)
-    P = sp.sympify(p_expr)
     A = sp.Rational(sum(exponents), 2)
     if P.has(S):
         slope = sp.Poly(P, S).coeff_monomial(S)
@@ -374,7 +393,10 @@ def xi_moment(dim: int, exponents: tuple[int, ...], p_expr) -> sp.Expr:
                 f"moment diverges: monomial degree {2*A} >= 2*{P} - {dim}"
             )
     gam_prod = sp.prod([sp.gamma(sp.Rational(e + 1, 2)) for e in exponents])
-    return (2 * sp.pi) ** (-dim) * gam_prod * sp.gamma(P - A - sp.Rational(dim, 2)) / sp.gamma(P)
+    n = A + sp.Rational(dim, 2)
+    if n.is_Integer and n > 0:
+        return (2 * sp.pi) ** (-dim) * gam_prod / sp.rf(P - n, n)
+    return (2 * sp.pi) ** (-dim) * gam_prod * sp.gamma(P - n) / sp.gamma(P)
 
 
 # ---------------------------------------------------------------------------

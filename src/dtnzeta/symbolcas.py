@@ -298,11 +298,15 @@ class BoundaryChart:
         return X[: self.n_proj, : self.n_proj]
 
     # -- operator symbols --------------------------------------------------
+    # memoized like the stage methods: the graded symbols and the proofs each
+    # read them, and the shared matrices are never written to
     @property
+    @cache
     def p2(self) -> Matrix:
         return (self.w ** 2) * self.Id
 
     @property
+    @cache
     def p1(self) -> Matrix:
         scal = sp.Integer(0)
         for b in range(self.d):
@@ -318,6 +322,7 @@ class BoundaryChart:
         return M
 
     @property
+    @cache
     def p0(self) -> Matrix:
         M = zeros(self.n_full, self.n_full)
         for a in range(self.d):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dtnzeta import geom, sfunc, symbolint
 from dtnzeta.cli import RunConfig, main, render_report, run
+from dtnzeta.symbolcas import chart
 
 
 class TestRunConfig:
@@ -578,6 +579,34 @@ def _failing(cfg: RunConfig) -> list[str]:
     return failing
 
 
+def _perturb_momentum_entry(patch):
+    moment = sfunc.xi_moment
+    patch.setattr(sfunc, "xi_moment", lambda dim, exps, p: (
+        OFF if exps == (2, 2) else 1) * moment(dim, exps, p))
+
+
+def _perturb_gamma_ratio(patch):
+    ratio = sfunc.gamma_ratio_at_zero
+    patch.setattr(sfunc, "gamma_ratio_at_zero", lambda k: (ratio(k)[0], OFF * ratio(k)[1]))
+
+
+def _perturb_term_piece(patch):
+    ref = symbolint.reference_term_table
+    patch.setattr(symbolint, "reference_term_table",
+                  lambda q: {**ref(q), "V7": OFF * ref(q)["V7"]})
+
+
+# negative controls of the exact rows that go through memoized kernels:
+# (perturbation, the run, the rows it must FAIL)
+MEMOIZED_CONTROLS = [
+    (_perturb_momentum_entry, RunConfig(command="specfun-selftest"),
+     ["momentum-integral-xi22-p(s/2 + 3)"]),
+    (_perturb_gamma_ratio, RunConfig(command="specfun-selftest"),
+     [f"gamma-ratio-at-zero-{k}" for k in (1, "1/2", 2)]),
+    (_perturb_term_piece, RunConfig(command="derive-terms", m=3, q=0), ["trace-term-V7"]),
+]
+
+
 class TestNegativeControls:
     """Every exact comparison of the CLI FAILs on a perturbed reference."""
 
@@ -594,9 +623,7 @@ class TestNegativeControls:
         assert _failing(RunConfig(command="derive-a0", m=m, q=q)) == ["q-density"]
 
     def test_derive_terms_piece(self, monkeypatch):
-        ref = symbolint.reference_term_table
-        monkeypatch.setattr(symbolint, "reference_term_table",
-                            lambda q: {**ref(q), "V7": OFF * ref(q)["V7"]})
+        _perturb_term_piece(monkeypatch)
         assert _failing(RunConfig(command="derive-terms", m=3, q=0)) == ["trace-term-V7"]
 
     def test_derive_terms_sum(self, monkeypatch):
@@ -605,18 +632,31 @@ class TestNegativeControls:
         assert _failing(RunConfig(command="derive-terms", m=3, q=0)) == ["trace-term-sum"]
 
     def test_specfun_momentum_entry(self, monkeypatch):
-        moment = sfunc.xi_moment
-        monkeypatch.setattr(sfunc, "xi_moment", lambda dim, exps, p: (
-            OFF if exps == (2, 2) else 1) * moment(dim, exps, p))
+        _perturb_momentum_entry(monkeypatch)
         assert _failing(RunConfig(command="specfun-selftest")) == [
             "momentum-integral-xi22-p(s/2 + 3)"]
 
     def test_specfun_gamma_ratio(self, monkeypatch):
-        ratio = sfunc.gamma_ratio_at_zero
-        monkeypatch.setattr(sfunc, "gamma_ratio_at_zero", lambda k: (
-            ratio(k)[0], OFF * ratio(k)[1]))
+        _perturb_gamma_ratio(monkeypatch)
         assert _failing(RunConfig(command="specfun-selftest")) == [
             f"gamma-ratio-at-zero-{k}" for k in (1, "1/2", 2)]
+
+    def test_memoization_hides_no_fault(self, monkeypatch):
+        # the exact kernels are memoized per process; a run that PASSed first,
+        # with every cache warm, must still FAIL each perturbed row, and PASS
+        # again once the perturbation is gone
+        for _, cfg, _ in MEMOIZED_CONTROLS:
+            assert _failing(cfg) == []
+        for perturb, cfg, rows in MEMOIZED_CONTROLS:
+            with monkeypatch.context() as patch:
+                perturb(patch)
+                assert _failing(cfg) == rows
+            assert _failing(cfg) == []
+        e = sfunc.xi_moment(2, (2, 2), sfunc.S / 2 + 3)
+        assert sfunc._field(e) is sfunc._field(e)
+        assert sfunc._field.cache_info().maxsize is not None
+        ch = chart(3, 0)
+        assert ch.p0 is ch.p0 and ch.p1 is ch.p1 and ch.p2 is ch.p2
 
     def test_specfun_riemann_zeta_below_float64(self, monkeypatch):
         # at dps 400 the tolerance 1e-400 is below the float64 range; a zeta

@@ -9,6 +9,7 @@ import sympy as sp
 from dtnzeta.geom import (
     GeometrySpec,
     _density_fn,
+    _polar_disk_integral,
     a0_constant,
     conformal_variation_check,
     cylinder_boundary,
@@ -283,3 +284,33 @@ class TestConformalVariation:
         with pytest.raises(ValueError):
             conformal_variation_check(self.geom, np.ones_like(self.theta),
                                       None, lambda x, y: 1.0)
+
+
+def _ring_by_ring(f, n_r, n_t):
+    """The polar disk integral with ``f`` called once per ring."""
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    theta = np.linspace(0.0, 2 * math.pi, n_t, endpoint=False)
+    total = 0.0
+    for ri, wi in zip(0.5 * (x + 1.0), 0.5 * w):
+        vals = np.broadcast_to(f(ri * np.cos(theta), ri * np.sin(theta)), theta.shape)
+        total += float(wi * ri * np.sum(vals) * (2 * math.pi / n_t))
+    return total
+
+
+class TestPolarDiskIntegral:
+    """One call of ``f`` on the whole polar grid gives the ring-by-ring floats."""
+
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda x, y: 1.0, id="constant"),
+        pytest.param(lambda x, y: x, id="coordinate"),
+        pytest.param(lambda x, y: x * x + y * y, id="radial-square"),
+        pytest.param(lambda x, y: np.exp(x * y), id="exp-xy"),
+    ])
+    @pytest.mark.parametrize("n_r, n_t", [(24, 96), (32, 128), (5, 7)])
+    def test_matches_ring_by_ring_loop(self, f, n_r, n_t):
+        assert _polar_disk_integral(f, n_r, n_t) == _ring_by_ring(f, n_r, n_t)
+
+    def test_one_call_on_the_grid(self):
+        shapes = []
+        _polar_disk_integral(lambda x, y: shapes.append((x.shape, y.shape)) or x, 24, 96)
+        assert shapes == [((24, 96), (24, 96))]

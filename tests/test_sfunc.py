@@ -1,5 +1,6 @@
 """Special-function kernel: exact values, oracles, and properties."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -178,6 +179,62 @@ class TestXiMoment:
             numeric = ang * rad / (4 * mp.pi ** 2)
         exact = float(ref.subs(S, 3))
         assert abs(float(numeric) - exact) < 1e-8
+
+
+def _gamma_moment(dim, exps, P, n):
+    """``(2 pi)^-dim prod Gamma((e_i + 1)/2) Gamma(P - n) / Gamma(P)``: the
+    moment as a Gamma ratio, right at ``n = A + dim/2``."""
+    gam_prod = sp.prod([sp.gamma(sp.Rational(e + 1, 2)) for e in exps])
+    return (2 * sp.pi) ** (-dim) * gam_prod * sp.gamma(P - n) / sp.gamma(P)
+
+
+# even exponents with entries up to 4 (an odd entry gives 0), P = s/2 + c
+GAMMA_FREE_CASES = [(dim, exps, S / 2 + sp.Rational(c2, 2))
+                    for dim in (1, 2) for exps in itertools.product((0, 2, 4), repeat=dim)
+                    for c2 in range(1, 11)]
+
+
+class TestGammaFreeMoment:
+    """A moment with ``n = A + dim/2`` a positive integer is a rational
+    function of ``s``, equal to the Gamma ratio it replaces."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_gamma_ratio(self, dim):
+        for d, exps, P in GAMMA_FREE_CASES:
+            if d == dim:
+                n = sp.Rational(sum(exps) + dim, 2)
+                assert exact_zero(xi_moment(dim, exps, P) - _gamma_moment(dim, exps, P, n)), (
+                    exps, P)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_n_off_by_one_is_not_zero(self, dim):
+        for d, exps, P in GAMMA_FREE_CASES:
+            if d == dim:
+                n = sp.Rational(sum(exps) + dim, 2)
+                for wrong in (n - 1, n + 1):
+                    assert not exact_zero(
+                        xi_moment(dim, exps, P) - _gamma_moment(dim, exps, P, wrong)), (
+                        exps, P, wrong)
+
+    def test_dim2_has_no_gamma_of_s(self):
+        for d, exps, P in GAMMA_FREE_CASES:
+            if d == 2:
+                assert not any(g.has(S) for g in xi_moment(2, exps, P).atoms(sp.gamma))
+
+    def test_dim1_keeps_its_gamma_ratio(self):
+        for d, exps, P in GAMMA_FREE_CASES:
+            if d == 1:
+                assert {g for g in xi_moment(1, exps, P).atoms(sp.gamma) if g.has(S)} == {
+                    sp.gamma(P), sp.gamma(P - sp.Rational(sum(exps) + 1, 2))}
+
+    def test_list_of_exponents(self):
+        P = S / 2 + 2
+        assert xi_moment(2, [2, 0], P) == xi_moment(2, (2, 0), P)
+        assert exact_zero(xi_moment(2, [2, 0], P) - 1 / (2 * sp.pi * S * (S + 2)))
+
+    def test_memoized(self):
+        assert xi_moment(2, [2, 2], S / 2 + 3) is xi_moment(2, (2, 2), S / 2 + 3)
+        assert mu_residue(3) is mu_residue(3)
 
 
 class TestSFunction:
