@@ -4,37 +4,33 @@ digest of them all.
 
 Usage: python3 scripts/report_digests.py
 
-The list is ``derive-a0`` for the five fibers, ``derive-terms`` for q 0-2,
-``specfun-selftest`` at dps 30, 50 and 200, ``geom-constants`` on each
-built-in geometry and q, ``conformal-check``, and ``verify-cylinder`` and
-``verify-zeta-zero`` on a small grid of q, a and L.  The script runs itself
+The list is the jobs of both batteries, ``configs()`` of
+``run_derivations.py`` and of ``run_verifications.py``, then
+``specfun-selftest`` at dps 50 and 200, ``geom-constants --geometry
+cylinder`` for q 0-1, and ``verify-cylinder`` and ``verify-zeta-zero`` for
+q 0-1 and a 0.5 and 3 at L = 10.  The script runs itself
 under ``PYTHONHASHSEED=0``.  Two trees print the same lines exactly when every
 report is byte-identical, so comparing the output of this script on each tree
 checks a change that must not move a report.  Exits 1 if some report FAILs.
 """
 
 import hashlib
-import math
 import os
 import sys
 from dataclasses import fields
 
+import run_derivations
+import run_verifications
 from dtnzeta.cli import RunConfig, run
 
 
 def configs() -> list[RunConfig]:
-    jobs = [RunConfig(command="derive-a0", m=m, q=q)
-            for m in (2, 3) for q in range(m)]
-    jobs += [RunConfig(command="derive-terms", q=q) for q in (0, 1, 2)]
-    jobs += [RunConfig(command="specfun-selftest", dps=dps) for dps in (30, 50, 200)]
-    jobs += [RunConfig(command="geom-constants", geometry=name, q=q)
-             for name, degrees in (("unit-disk", (0, 1)), ("unit-ball", (0, 1, 2)),
-                                   ("cylinder", (0, 1)))
-             for q in degrees]
-    jobs.append(RunConfig(command="conformal-check"))
-    jobs += [RunConfig(command=command, q=q, a=a, L=L)
+    jobs = run_derivations.configs() + run_verifications.configs()
+    jobs += [RunConfig(command="specfun-selftest", dps=dps) for dps in (50, 200)]
+    jobs += [RunConfig(command="geom-constants", geometry="cylinder", q=q) for q in (0, 1)]
+    jobs += [RunConfig(command=command, q=q, a=a, L=10.0)
              for command in ("verify-cylinder", "verify-zeta-zero")
-             for q in (0, 1) for a in (0.5, 3.0) for L in (2 * math.pi, 10.0)]
+             for q in (0, 1) for a in (0.5, 3.0)]
     return jobs
 
 

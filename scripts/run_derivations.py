@@ -10,15 +10,20 @@ import sys
 from dtnzeta.cli import RunConfig, run
 
 
-def main() -> int:
-    outfile = sys.argv[1] if len(sys.argv) > 1 else "derivations.json"
-    reports = []
-    failures = 0
+def configs() -> list[RunConfig]:
+    """The battery's jobs, in the order of the output file."""
     jobs = [RunConfig(command="specfun-selftest")]
     jobs += [RunConfig(command="derive-a0", m=2, q=q) for q in (0, 1)]
     jobs += [RunConfig(command="derive-a0", m=3, q=q) for q in (0, 1, 2)]
     jobs += [RunConfig(command="derive-terms", m=3, q=q) for q in (0, 1, 2)]
-    for cfg in jobs:
+    return jobs
+
+
+def main() -> int:
+    outfile = sys.argv[1] if len(sys.argv) > 1 else "derivations.json"
+    reports = []
+    failures = 0
+    for cfg in configs():
         status, report = run(cfg)
         print(f"{cfg.command} m={cfg.m} q={cfg.q}: "
               f"{'PASS' if status == 0 else 'FAIL'}")

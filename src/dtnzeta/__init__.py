@@ -17,7 +17,7 @@ symbolcas
     parametrix, exact boundary-jet evaluation.
 symbolint
     Fiberwise integration of the parametrix: contour and momentum integrals,
-    the eleven-piece trace table in dimension 3, closed-form densities.
+    the twelve-piece trace table in dimension 3, closed-form densities.
 spectra
     Closed-form model spectra (circle, cylinder, disk) as structured data.
 zetadet

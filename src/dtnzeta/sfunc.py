@@ -5,8 +5,8 @@ expansion is turned into a spectral density:
 
 * ``SFunction`` -- a sum of Gamma-function ratios and rational functions of
   ``s`` with its exact value and derivative at ``s = 0``, where the densities
-  are read: each distinct ``s``-factor from its element of the field below,
-  each Gamma class a Taylor polynomial.  A pole that does not cancel raises.
+  are read: the whole expression is one element of the field below, each
+  Gamma class a Taylor polynomial.  A pole that does not cancel raises.
 * ``exact_zero`` / ``rationalize`` -- the exact zero test and the one rational
   form: one walk takes ``expr`` to one element of a sparse rational-function
   field over QQ (``_field``, built without ``expand``), with each
@@ -25,10 +25,10 @@ expansion is turned into a spectral density:
   argument, precision and order).
 
 The exact kernels are pure, so each is memoized for the process with
-``functools.lru_cache``: ``_field`` (bounded), ``_gamma_class``, ``_laurent``,
-``gamma_ratio_at_zero``, ``mu_residue`` and ``xi_moment``.  A repeated zero
-test or rational form of the same expression is a lookup, and the cached
-results are shared, so no caller mutates them.
+``functools.lru_cache``: ``_field`` (bounded), ``_gamma_class``, ``_jet``,
+``mu_residue`` and ``xi_moment``.  A repeated zero test, rational form or
+jet of the same expression is a lookup, and the cached results are shared,
+so no caller mutates them.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _gamma_class(g: sp.gamma) -> sp.Expr:
     Raises :class:`DomainError` on a Gamma factor whose argument is not ``a*s + b``
     with ``a > 0`` and ``b`` rational.
     """
-    b, slope = g.args[0].as_independent(S, as_Add=True)
+    b, slope = g.args[0].as_coeff_Add()
     a = slope / S
     if not (a.is_Rational and a > 0 and b.is_Rational):
         raise DomainError(f"no Gamma class for {g}: argument not a*s + b, a > 0 rational")
@@ -252,17 +252,18 @@ def _gamma_class(g: sp.gamma) -> sp.Expr:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _laurent(factor: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
-    """Laurent coefficients ``(k, c_k)`` (``k <= 1``) at ``s = 0`` of ``factor``,
-    the element ``N/D`` of ``_field`` with pole order ``p``, the ``s``-adic
+def _jet(expr: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
+    """Value and first derivative at ``s = 0`` of ``expr``, read from its
+    element ``N/D`` of ``_field`` with pole order ``p``, the ``s``-adic
     valuation of ``D``.  Each ``Gamma(a*s + b)`` becomes the ring polynomial
     ``Gamma(b) exp(sum_k psi^(k-1)(b) (a*s)^k / k!)`` to order ``p + 1``, with
     ``Gamma(b)`` valued at the end, and ``N`` is divided by ``D / s**p`` as power
     series.  Raises where ``_field`` raises, and :class:`DomainError` where
-    ``D / s**p`` vanishes at ``s = 0``."""
+    ``D / s**p`` vanishes at ``s = 0`` or a coefficient of ``s**-k``, ``k >= 1``,
+    is not an exact zero.  Memoized; the jet is shared between callers."""
     from sympy.polys.rings import PolyRing
 
-    element = _field(factor)
+    element = _field(expr)
     symbols = element.field.symbols
     p = min(m[symbols.index(S)] for m in element.denom.itermonoms()) if S in symbols else 0
     # each class generator Gamma(a*s + b) with its offset b and slope a*s
@@ -285,33 +286,18 @@ def _laurent(factor: sp.Expr) -> tuple[tuple[int, sp.Expr], ...]:
         terms.append(terms[-1] * rest)
     values = {g: sp.gamma(b) for g, (b, _) in classes.items()}
     if exact_zero(d0 := lead.as_expr().xreplace(values)):
-        raise DomainError(f"no jet of {factor} at s = 0: D / s**{p} vanishes there")
-    return tuple((k, sum(t.coeff_wrt(s, k + p * (i + 1)).as_expr().xreplace(values) / d0 ** (i + 1)
-                         for i, t in enumerate(terms))) for k in range(-p, 2))
-
-
-def _jet(expr: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
-    """Value and first derivative at ``s = 0`` of ``expr = sum_i c_i f_i(s)``,
-    with the terms grouped by their ``s``-factor ``f_i``.  Raises
-    :class:`DomainError` unless the pole part vanishes."""
-    groups: dict[sp.Expr, sp.Expr] = {}
-    for term in sp.Add.make_args(expr):
-        coeff, factor = term.as_independent(S, as_Add=False)
-        groups[factor] = groups.get(factor, sp.Integer(0)) + coeff
-    jet: dict[int, sp.Expr] = {}
-    for factor, coeff in groups.items():
-        for k, c in _laurent(factor):
-            jet[k] = jet.get(k, sp.Integer(0)) + coeff * c
-    if any(k < 0 and not exact_zero(c) for k, c in jet.items()):
+        raise DomainError(f"no jet of {expr} at s = 0: D / s**{p} vanishes there")
+    jet = [sum(t.coeff_wrt(s, k + p * (i + 1)).as_expr().xreplace(values) / d0 ** (i + 1)
+               for i, t in enumerate(terms)) for k in range(-p, 2)]
+    if not all(map(exact_zero, jet[:p])):
         raise DomainError("pole of SFunction at s = 0")
-    return jet.get(0, sp.Integer(0)), jet.get(1, sp.Integer(0))
+    return jet[p], jet[p + 1]
 
 
 # ---------------------------------------------------------------------------
 # Gamma ratios at s = 0
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def gamma_ratio_at_zero(k) -> tuple[sp.Expr, sp.Expr]:
     """Exact value and derivative at ``s = 0`` of ``Gamma(s - k) / Gamma(s)``.
 

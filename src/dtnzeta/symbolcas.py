@@ -605,10 +605,10 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
     a leaf.  A negative integer power is accepted only when its base maps to
     one nonzero monomial in ``t``, ``v`` and ``I``, a half-integer power only
     when its base maps to ``v**2``; any other power or function raises
-    ``ValueError``, as does a zero base.  Returns the ring and the nonzero
-    coefficients by exponent tuple, with ``t * (1/t)`` and ``v * (1/v)``
-    cancelled and ``I**2 = -1`` applied, so an identity comes out empty
-    before any expression is built.
+    ``ValueError``, as does a zero base.  Returns the ring element, with
+    ``t * (1/t)`` and ``v * (1/v)`` cancelled and ``I**2 = -1`` applied, so an
+    identity comes out as the zero element before any expression is built;
+    its ``.ring`` holds the generators.
     """
     v = Symbol("v_princ", positive=True)
     t = Symbol("t_gap")
@@ -661,14 +661,13 @@ def _laurent_expansion(ch: BoundaryChart, expr: sp.Expr, at_point: bool = False)
         k, l = min(tp, tn), min(vp, vn)
         mono = (tp - k, tn - k, vp - l, vn - l, i % 2, *rest)
         terms[mono] = terms.get(mono, ring.domain.zero) + (-c if i % 4 > 1 else c)
-    return ring, {mono: c for mono, c in terms.items() if c}
+    return ring.from_dict(terms)
 
 
 def canonical_zero_form(ch: BoundaryChart, expr: sp.Expr) -> sp.Expr:
     """The expansion of :func:`_laurent_expansion`, jets kept, as an
     expression: literal 0 exactly when the identity holds."""
-    ring, terms = _laurent_expansion(ch, expr)
-    return ring.from_dict(terms).as_expr()
+    return _laurent_expansion(ch, expr).as_expr()
 
 
 def riccati_residual(ch: BoundaryChart) -> dict[int, Matrix]:
@@ -725,8 +724,4 @@ def projected_square_correction_defect(ch: BoundaryChart) -> Matrix:
         for b in range(ch.d):
             corr += ch.project(_mm(ch.om[a], ch.om[b])) * ch.xis[a] * ch.xis[b]
     defect = ch.project(_mm(a0f, a0f)) - (_mm(a0t, a0t) - corr / ch.w ** 2)
-
-    def zero_form(e):
-        ring, terms = _laurent_expansion(ch, e, at_point=True)
-        return ring.from_dict(terms).as_expr()
-    return defect.applyfunc(zero_form)
+    return defect.applyfunc(lambda e: _laurent_expansion(ch, e, at_point=True).as_expr())

@@ -13,7 +13,7 @@ Gamma-function moments.  On top of it sit the boundary densities:
 * ``q_density`` -- ``(1/2) F(0)``, the zeta-at-zero density;
 * ``pi0_density`` / ``a1_coefficient`` -- the subleading coefficients in
   ambient dimension 3;
-* ``term_table`` -- the dimension-3 trace split into its eleven labelled
+* ``term_table`` -- the dimension-3 trace split into its twelve labelled
   pieces, each transformed separately, together with an independently
   tabulated reference (``reference_term_table``) for cross-checking.
 
@@ -73,12 +73,13 @@ def boundary_reduce(ch: BoundaryChart, scalar) -> sp.Expr:
     jet-free monomial.  Raises ``ValueError`` on a monomial with ``j < 1`` and
     on a non-Laurent factor.
     """
-    ring, terms = _laurent_expansion(ch, scalar, at_point=True)
+    whole = _laurent_expansion(ch, scalar, at_point=True)
+    ring = whole.ring
     xi_slots = [ring.symbols.index(xi) if xi in ring.symbols else None for xi in ch.xis]
     jet_slots = [i for i, x in enumerate(ring.symbols) if x in ch.must_cancel]
     keyed = {*range(4), *xi_slots, *jet_slots}
     weights, by_jets = {}, {}  # jet monomial -> (j, k, e) -> coefficients of P
-    for mono, c in terms.items():
+    for mono, c in whole.items():
         tp, tn, vp, vn = mono[:4]
         j, k = tn - tp, vp - vn
         if j < 1:
@@ -172,7 +173,7 @@ def a1_coefficient(q: int) -> sp.Expr:
 
 
 # ---------------------------------------------------------------------------
-# The eleven-piece table in ambient dimension 3
+# The twelve-piece table in ambient dimension 3
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -212,7 +213,7 @@ def _generators(q: int):
 
 @lru_cache(maxsize=None)
 def reference_term_table(q: int) -> dict[str, sp.Expr]:
-    """Independently tabulated values of the eleven pieces (reference data)."""
+    """Independently tabulated values of the twelve pieces (reference data)."""
     ch, r0, H1, H2, TrOm, TrOm2, TrOmAlAl, TrE, Dt, Dm = _generators(q)
     tM, tY = ch.tauM, ch.tauY
     s = S

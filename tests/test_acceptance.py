@@ -52,7 +52,7 @@ def test_criterion_1_dim2_symbolic_derivation():
 
 
 def test_criterion_2_dim3_term_table():
-    """All eleven dimension-3 trace pieces, their sum, the s-derivative at 0,
+    """All twelve dimension-3 trace pieces, their sum, the s-derivative at 0,
     and the per-degree densities match the reference forms, under 60 s."""
     term_table.cache_clear()
     t0 = time.monotonic()

@@ -29,7 +29,12 @@ input with each Gamma factor rewritten at its leaf: ``_field`` and
 ``_gamma_class`` refer to no ``xreplace``, ``atoms`` or ``Dummy``.  No module
 of the package refers to ``together`` or ``cancel``.  The ``s``-jet is taken at
 ``s = 0`` only, from that field: ``sfunc.py`` refers to no ``series``,
-``diff``, ``subs`` or ``_branch_point``.  A resolvent trace is reduced in
+``diff``, ``subs`` or ``_branch_point``; it is read from the element of
+the whole expression, so ``sfunc.py`` defines no per-factor ``_laurent`` and
+splits no expression into its terms (``as_independent``, ``Add.make_args``).
+``symbolcas._laurent_expansion`` returns its ring element, which
+``canonical_zero_form`` and ``projected_square_correction_defect`` read
+without rebuilding it (``from_dict``).  A resolvent trace is reduced in
 one walk into its Laurent ring, the substitutions made at the leaves:
 ``symbolint.boundary_reduce`` and ``symbolcas._laurent_expansion`` refer to no
 ``expand``, ``xreplace`` or ``eval_at_boundary_point``, and the projected-square
@@ -281,8 +286,8 @@ def test_field_is_one_walk():
 
 
 def test_jet_is_read_at_zero_from_the_field():
-    # the s-jet is taken at s = 0 from the field element of each factor: no
-    # series, no subs/diff at a point and no branch-point test
+    # the s-jet is taken at s = 0 from the field element of the expression:
+    # no series, no subs/diff at a point and no branch-point test
     names = {name for name, _ in
              _references(ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text()))}
     assert not names & {"series", "diff", "subs", "_branch_point"}
@@ -304,6 +309,37 @@ def test_trace_reduction_is_one_walk():
         names = {name for name, _ in _references(fn)}
         found += [f"{function}: {name}" for name in sorted(names & banned)]
     assert not found, found
+
+
+def test_jet_is_read_from_the_whole_expression():
+    # one cached s-jet per expression, read from its one field element: no
+    # per-factor _laurent, and no split of a transform into its terms or its
+    # s-free coefficients
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "sfunc.py").read_text())
+    assert "_laurent" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    regroups = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and (node.attr == "as_independent"
+                     or node.attr == "make_args" and getattr(node.value, "attr", None) == "Add")]
+    assert not regroups, regroups
+
+
+def test_laurent_walk_returns_its_ring_element():
+    # the readers of the walk take its ring element whole: none rebuilds it
+    from sympy.polys.rings import PolyElement
+
+    from dtnzeta.symbolcas import _laurent_expansion, chart
+    tree = ast.parse((ROOT / "src" / "dtnzeta" / "symbolcas.py").read_text())
+    found = []
+    for function in ("canonical_zero_form", "projected_square_correction_defect"):
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+        if "from_dict" in {name for name, _ in _references(fn)}:
+            found.append(function)
+    assert not found, found
+    ch = chart(2, 0)
+    gap = _laurent_expansion(ch, 1 / (ch.mu - ch.w))
+    assert isinstance(gap, PolyElement) and gap.as_expr() == 1 / gap.ring.symbols[0]
+    zero = _laurent_expansion(ch, ch.mu / (ch.w * (ch.mu - ch.w)) - 1 / (ch.mu - ch.w) - 1 / ch.w)
+    assert isinstance(zero, PolyElement) and not zero
 
 
 def test_proofs_do_not_share_the_composition_term():

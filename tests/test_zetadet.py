@@ -116,6 +116,17 @@ class TestIntervalModeSum:
         val = float(interval_mode_sum(3, 1e10))
         assert math.isfinite(val) and val > 0
 
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("t", [math.nan, [2.0, math.nan]])
+    def test_rejects_nan(self, s, t):
+        # a NaN fails every comparison, so only `all(t >= 1)` refuses it
+        with pytest.raises(ValueError):
+            interval_mode_sum(s, t)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_infinite_argument_is_the_limit(self, s):
+        assert np.array_equal(interval_mode_sum(s, [2.0, math.inf])[1:], [0.0])
+
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             interval_mode_sum(0, 1.0)
