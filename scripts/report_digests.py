@@ -8,7 +8,9 @@ The list is the jobs of both batteries, ``configs()`` of
 ``run_derivations.py`` and of ``run_verifications.py``, then
 ``specfun-selftest`` at dps 50 and 200, ``geom-constants --geometry
 cylinder`` for q 0-1, and ``verify-cylinder`` and ``verify-zeta-zero`` for
-q 0-1 and a 0.5 and 3 at L = 10.  The script runs itself
+q 0-1 and a 0.5 and 3 at L = 10, and ``verify-cylinder --a 1e30 --L 1`` for
+q 0-1, where a zeta difference summed over the whole lattice loses the
+cross-section zeta to rounding.  The script runs itself
 under ``PYTHONHASHSEED=0``.  Two trees print the same lines exactly when every
 report is byte-identical, so comparing the output of this script on each tree
 checks a change that must not move a report.  Exits 1 if some report FAILs.
@@ -31,6 +33,7 @@ def configs() -> list[RunConfig]:
     jobs += [RunConfig(command=command, q=q, a=a, L=10.0)
              for command in ("verify-cylinder", "verify-zeta-zero")
              for q in (0, 1) for a in (0.5, 3.0)]
+    jobs += [RunConfig(command="verify-cylinder", q=q, a=1e30, L=1.0) for q in (0, 1)]
     return jobs
 
 

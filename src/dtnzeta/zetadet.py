@@ -5,14 +5,11 @@ evaluation path:
 
 * power spectra reduce exactly to a rescaled Riemann zeta
   (``mpmath.zeta`` through :mod:`dtnzeta.sfunc`);
-* product-lattice spectra on ``[0, a] x S^1`` are split family by family into
-  the lattice sum ``sum_{k,n>=1} (alpha^2 k^2 + beta^2 n^2)^{-s}`` plus its
-  ``k = 0`` and zero-mode rows.  The lattice sum is resummed along the wider
-  gap (Chowla--Selberg): the narrow direction is summed in closed form by the
-  cotangent kernel ``interval_mode_sum``, which leaves two Riemann zeta terms
-  and an exponentially convergent Bessel-K remainder of a few terms.  This is
-  implemented at ``s = 2, 3``; at ``s = 0`` the analytic continuation of each
-  family is used;
+* product-lattice spectra on ``[0, a] x S^1`` have their zeta at ``s = 0``
+  only, by the analytic continuation of each family.  The cylinder checks read
+  no other value: the absolute and Dirichlet spectra share every family row
+  but the ``k = 0`` interval row, so their zeta difference is read from the
+  two family lists as a sum of cross-section zetas;
 * cylinder DtN spectra pair each cross-section eigenvalue ``lam`` into the
   branches ``sqrt(lam) coth(x/2)`` and ``sqrt(lam) tanh(x/2)``,
   ``x = a sqrt(lam)``, whose product is ``lam``.  So the log-determinant is
@@ -21,9 +18,8 @@ evaluation path:
   implemented: no check reads the DtN zeta anywhere else.
 
 ``logdet_star`` is the zeta-regularized log-determinant ``-zeta'(0)`` with the
-kernel excluded.  Every ``ZetaValue.error_bound`` is computed: a truncation
-bound for the Bessel-K remainder, which is cut off, plus the float64 rounding
-of the magnitudes that are summed.
+kernel excluded.  Every ``ZetaValue.error_bound`` is computed: the float64
+rounding of the closed forms and of the magnitudes that are summed.
 """
 
 from __future__ import annotations
@@ -50,10 +46,9 @@ _UNIT = 2.0 ** -53  # float64 unit roundoff
 # working digits of every mpmath closed form: each value leaves this module as
 # a float64, so a higher precision cannot change it
 _DPS = 30
-_KERNEL_ULP = 16  # accuracy of interval_mode_sum for t >= 1, in ulp
-_REMAINDER_DIGITS = 20  # Bessel-K remainder terms kept until e^{-2 pi r m} < 1e-20
-# accepted cylinder lengths a, L: the lattice sums raise pi/a and 2 pi/L to
-# powers up to 2s = 6 and square their ratio, which stays inside float64 here
+# accepted cylinder lengths a, L: the cross-section zeta at s = 3 takes
+# coeff**-3 with coeff = (2 pi/L)**2, between 1e-185 and 1e176 here, and
+# ln(2/a) stays below 70 in size; both are well inside float64
 _CYLINDER_RANGE = (1e-30, 1e30)
 
 
@@ -101,8 +96,9 @@ _INTERVAL_KERNELS = {
 def interval_mode_sum(s: int, t):
     """Exact-formula value of ``sum_{k>=1} (k^2 + t)^{-s}`` (vectorized in t).
 
-    Implemented for ``s = 2, 3``, the orders the cylinder checks use; any
-    other order raises ``ValueError``.
+    Implemented for ``s = 2, 3``; any other order raises ``ValueError``.  No
+    report reads it: it stays because ``perfbench/tracing.py`` lists it among
+    its ``TARGETS``.
     For ``t >= 1`` nothing overflows and the value is accurate to a few ulp.
     Raises ``ValueError`` unless every ``t >= 1``: below 1 the polynomial
     cancels catastrophically (relative error 1e-4 at ``t = 1e-4``), and a NaN
@@ -131,75 +127,6 @@ def _zeta_affine(spec: spectra.PowerSpectrum, s) -> ZetaValue:
         return ZetaValue(float(val), _float_rounding(val), "affine-closed-form")
 
 
-def _lattice_sum(s: int, alpha: float, beta: float, zeta_odd: float,
-                 zeta_even: float) -> tuple[float, float]:
-    """``sum_{k,n>=1} (alpha^2 k^2 + beta^2 n^2)^{-s}`` with a computed error bound.
-
-    The sum is symmetric in ``alpha, beta``; with ``g = min``, ``r = max/g >= 1``
-    and the narrow direction summed by the cotangent kernel, it is
-
-    ``g^{-2s} [c_s r^{1-2s} zeta(2s-1) - r^{-2s} zeta(2s)/2 + sum_{m>=1} R_s(r^2 m^2)]``
-
-    with ``c_s = sqrt(pi) Gamma(s-1/2) / (2 Gamma(s))`` and the Bessel-K
-    remainder ``R_s(t) = interval_mode_sum(s, t) - c_s t^{1/2-s} + t^{-s}/2``
-    (Chowla & Selberg, PNAS 35, 1949).  ``zeta_odd``/``zeta_even`` are
-    ``zeta(2s-1)``/``zeta(2s)``.
-    """
-    import numpy as np
-
-    g = min(alpha, beta)
-    r = max(alpha, beta) / g
-    c_s = math.sqrt(math.pi) * math.gamma(s - 0.5) / (2 * math.gamma(s))
-    m_last = math.ceil(_REMAINDER_DIGITS * math.log(10) / (2 * math.pi * r)) + 1
-    t = (r * np.arange(1, m_last + 1, dtype=np.float64)) ** 2
-    kernel = interval_mode_sum(s, t)
-    power_half, power_full = c_s * t ** (0.5 - s), 0.5 * t ** (-s)
-    rem = kernel - (power_half - power_full)
-    lead = (c_s * r ** (1 - 2 * s) * zeta_odd, -0.5 * r ** (-2 * s) * zeta_even)
-    total = math.fsum(lead) + math.fsum(rem[:-1])
-    # rounding of each remainder term: the kernel's ulp, and a few for the powers
-    summed = kernel + power_half + power_full
-    term_err = 2 * _KERNEL_ULP * _UNIT * summed
-    # R_s(t) e^{2 pi sqrt t} is nonincreasing (Bessel-K form), so the terms
-    # m >= m_last are below a geometric series from the computed R_s at m_last
-    trunc = (abs(rem[-1]) + term_err[-1]) / -math.expm1(-2 * math.pi * r)
-    # g, r and c_s carry one rounding each, amplified by the power 2s
-    magnitude = abs(lead[0]) + abs(lead[1]) + float(np.sum(summed[:-1]))
-    rounding = float(np.sum(term_err[:-1])) + (m_last + 4 * s + 8) * _UNIT * magnitude
-    scale = g ** (-2 * s)
-    return scale * total, float(scale * (trunc + rounding))
-
-
-def _zeta_product(spec: spectra.ProductSpectrum, s) -> ZetaValue:
-    s = float(s)
-    if s == 0:
-        return _zeta_product_at_zero(spec)
-    if s not in (2, 3):
-        raise ValueError("product-lattice zeta implemented at s in {2, 3} and s = 0")
-    s = int(s)
-    alpha = math.pi / spec.a
-    zeta_odd = float(riemann_zeta(2 * s - 1, _DPS))
-    zeta_even = float(riemann_zeta(2 * s, _DPS))
-    terms = []
-    err = 0.0
-    for base, k0 in spec.families:
-        if base.power != 2:
-            raise ValueError("product-lattice zeta needs a cross-section spectrum coeff * n**2")
-        beta = math.sqrt(base.coeff)
-        lattice, lattice_err = _lattice_sum(s, alpha, beta, zeta_odd, zeta_even)
-        terms.append(base.mult * lattice)
-        err += base.mult * lattice_err
-        if k0 == 0:
-            # the k = 0 row: the cross-section eigenvalues themselves
-            terms.append(base.mult * beta ** (-2 * s) * zeta_even)
-        if base.kernel_dim:
-            # zero cross-section family: sum_{k>=1} ((k pi/a)^2)^{-s}
-            terms.append(base.kernel_dim * alpha ** (-2 * s) * zeta_even)
-    magnitude = sum(abs(v) for v in terms)
-    err += (len(terms) + 4 * s + 4) * _UNIT * magnitude
-    return ZetaValue(math.fsum(terms), err, "chowla-selberg-lattice")
-
-
 def _zeta_product_at_zero(spec: spectra.ProductSpectrum) -> ZetaValue:
     """Analytic continuation at ``s = 0`` of a product-lattice zeta.
 
@@ -219,6 +146,32 @@ def _zeta_product_at_zero(spec: spectra.ProductSpectrum) -> ZetaValue:
                 total += base_zeta0
                 magnitude += abs(base_zeta0)
         return ZetaValue(float(total), _float_rounding(total, magnitude), "family-continuation")
+
+
+def _zeta_difference(A: spectra.ProductSpectrum, B: spectra.ProductSpectrum,
+                     s) -> ZetaValue:
+    """``zeta_A(s) - zeta_B(s)`` of two product spectra that differ only in
+    their ``k = 0`` interval rows.
+
+    ``A`` and ``B`` must hold the same interval and the same cross-sections,
+    in order.  A family that starts at ``k = 0`` holds one row more than the
+    same family from ``k = 1``: the cross-section eigenvalues themselves, whose
+    zero modes are the kernel.  So each pair whose first modes differ adds or
+    subtracts the cross-section zeta, and every row ``k >= 1`` cancels
+    unsummed.  Raises ``ValueError`` on any other pair of spectra.
+    """
+    pairs = list(zip(A.families, B.families))
+    if (A.a != B.a or len(A.families) != len(B.families)
+            or any(base_a != base_b or (ka != kb and {ka, kb} != {0, 1})
+                   for (base_a, ka), (base_b, kb) in pairs)):
+        raise ValueError("the product spectra differ beyond their k = 0 rows")
+    value = bound = 0.0
+    for (base, ka), (_, kb) in pairs:
+        if ka != kb:
+            row = zeta(base, s)
+            value += row.value if ka == 0 else -row.value
+            bound += row.error_bound + _UNIT * abs(value)  # and the rounding of the sum
+    return ZetaValue(value, bound, "k0-row-difference")
 
 
 def _zeta_dtn_at_zero(spec: spectra.DtnProductSpectrum) -> ZetaValue:
@@ -243,7 +196,10 @@ def zeta(stream, s) -> ZetaValue:
     if isinstance(stream, spectra.PowerSpectrum):
         return _zeta_affine(stream, s)
     if isinstance(stream, spectra.ProductSpectrum):
-        return _zeta_product(stream, s)
+        if s != 0:
+            raise ValueError("product-lattice zeta implemented at s = 0 only, by the "
+                             "continuation of each family")
+        return _zeta_product_at_zero(stream)
     if isinstance(stream, spectra.DtnProductSpectrum):
         if s != 0:
             raise ValueError("DtN zeta implemented at s = 0 only, in closed form "
@@ -286,7 +242,7 @@ def _check_cylinder(a: float, L: float) -> None:
     lo, hi = _CYLINDER_RANGE
     if not (lo <= a <= hi and lo <= L <= hi):
         raise ValueError(f"cylinder parameters a = {a:g}, L = {L:g} outside "
-                         f"[{lo:g}, {hi:g}], the float64 range of the lattice sums")
+                         f"[{lo:g}, {hi:g}], the float64 range of the cylinder checks")
 
 
 def verify_product_gluing(a: float, L: float, q: int) -> dict:
@@ -299,8 +255,8 @@ def verify_product_gluing(a: float, L: float, q: int) -> dict:
       ``a0 = 0``, ``ln det S = kernel_dim ln(2/a)`` and the absolute minus
       Dirichlet log-det equal to that of the cross-section, the gluing
       identity is this same difference;
-    * ``zeta_diff_s{2,3}``: absolute/Dirichlet zeta difference at ``s`` minus
-      the cross-section zeta;
+    * ``zeta_diff_s{2,3}``: absolute minus Dirichlet zeta at ``s``, read from
+      their family lists by ``_zeta_difference``, minus the cross-section zeta;
     * ``zeta_q_at_zero``: DtN zeta at 0 (for comparison with its closed value
       ``kernel_dim + 2 * cross-section zeta at 0``).
 
@@ -308,13 +264,15 @@ def verify_product_gluing(a: float, L: float, q: int) -> dict:
     ``determinant-gluing``) and the DtN zeta at 0 (``dtn-zeta-at-zero``) hold
     by construction: ``logdet_star`` and ``zeta_at_zero`` of the DtN spectrum
     are those closed forms, so the residuals are float rounding.  The
-    ``zeta_diff`` residuals hold by construction too: the absolute and
-    Dirichlet spectra share every lattice sum and differ by the ``k = 0``
-    interval row, which is the cross-section, so they measure only the
-    rounding of that row; scaling ``a`` by ``1 + 1e-6`` in both spectra moves
-    none of them.
+    ``zeta_diff`` residuals are exactly 0 on the spectra that
+    ``product_laplacian_spectra`` builds, and their bounds do not depend on
+    ``a``: the rows check that the absolute spectrum holds one ``k = 0``
+    interval row more than the Dirichlet one, the degree-``q`` cross-section.
+    A wrong first interval mode leaves a whole cross-section zeta as the
+    residual, and spectra that differ in any other row, ``a`` for one, raise.
 
-    Raises ``ValueError`` unless ``a`` and ``L`` lie in ``_CYLINDER_RANGE``.
+    Raises ``ValueError`` unless ``a`` and ``L`` lie in ``_CYLINDER_RANGE``,
+    or if the two spectra differ beyond their ``k = 0`` rows.
     """
     _check_cylinder(a, L)
     out = {}
@@ -330,11 +288,10 @@ def verify_product_gluing(a: float, L: float, q: int) -> dict:
                                      - ld_n.value)
 
         for s in (2, 3):
-            za = zeta(sabs, s)
-            zd = zeta(sdir, s)
+            diff = _zeta_difference(sabs, sdir, s)
             zn = zeta(N, s)
-            out[f"zeta_diff_s{s}"] = abs(za.value - zd.value - zn.value)
-            out[f"zeta_diff_s{s}_bound"] = za.error_bound + zd.error_bound + zn.error_bound
+            out[f"zeta_diff_s{s}"] = abs(diff.value - zn.value)
+            out[f"zeta_diff_s{s}_bound"] = diff.error_bound + zn.error_bound
 
         out["zeta_q_at_zero"] = zeta_at_zero(dtn).value
         out["zeta_q_at_zero_expected"] = ell + 2 * zeta_at_zero(N).value

@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dtnzeta import geom, sfunc, symbolint
+from dtnzeta import geom, sfunc, spectra, symbolint, zetadet
 from dtnzeta.cli import RunConfig, main, render_report, run
 from dtnzeta.symbolcas import chart
 
@@ -73,8 +73,7 @@ class TestReports:
 
     @pytest.mark.parametrize("a", [100.0, 1000.0])
     def test_verify_cylinder_long(self, a):
-        # the zetas reach 1e9 (a = 100) and 1e15 (a = 1000) at s = 3; the
-        # zeta-difference rows must pass within their float64 rounding bounds
+        # long cylinders: every row must pass
         status, report = run(RunConfig(command="verify-cylinder", q=1, a=a))
         assert status == 0, report
 
@@ -137,7 +136,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--a", "--L"])
     def test_out_of_range_parameter_exit_code(self, capsys, flag):
-        # finite but beyond the float64 range of the lattice sums: rejected
+        # finite but beyond the float64 range of the cylinder checks: rejected
         # before any arithmetic, so no overflow warning; one error line
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -147,7 +146,7 @@ class TestMain:
         a, L = ("1e+300", "6.28319") if flag == "--a" else ("1", "1e+300")
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: schema-or-range: cylinder parameters a = {a}, L = {L} outside "
-            "[1e-30, 1e+30], the float64 range of the lattice sums"]
+            "[1e-30, 1e+30], the float64 range of the cylinder checks"]
 
     @pytest.mark.parametrize("args, a, L", [
         pytest.param(["--a", "1e300", "--L", "1e10"], "1e+300", "1e+10", id="volume-overflow"),
@@ -665,3 +664,72 @@ class TestNegativeControls:
         monkeypatch.setattr(sfunc, "riemann_zeta", lambda s, dps: zeta(s, dps) + mp.mpf(10) ** -395)
         cfg = RunConfig(command="specfun-selftest", dps=400)
         assert _failing(cfg) == [f"riemann-zeta-{s0}" for s0 in (2, 0, -1)]
+
+
+# the corners of the cylinder commands' accepted range of a and L
+CORNERS = (1e-30, 1.0, 1e30)
+
+
+def _verify_cylinder(a, L, q):
+    """Exit status and rows by quantity of ``verify-cylinder``, every warning
+    raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, report = run(RunConfig(command="verify-cylinder", q=q, a=a, L=L))
+    return status, {r["quantity"]: r for r in json.loads(report)["rows"]}
+
+
+class TestCylinderCorners:
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("L", CORNERS)
+    @pytest.mark.parametrize("a", CORNERS)
+    def test_every_row_passes(self, a, L, q):
+        status, rows = _verify_cylinder(a, L, q)
+        assert status == 0 and all(r["status"] == "PASS" for r in rows.values())
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("L", CORNERS)
+    def test_zeta_difference_tolerance_independent_of_a(self, L, q):
+        # summed over the whole lattice, --q 1 --a 1e30 --L 1 rounded the
+        # cross-section zeta (1.4e-3) away against a zero-mode row of 1e118,
+        # and PASSed it under a tolerance of 8e104
+        bounds = {tuple(rows[f"zeta-difference-s{s}"]["error_bound"] for s in (2, 3))
+                  for rows in (_verify_cylinder(a, L, q)[1] for a in CORNERS)}
+        assert len(bounds) == 1
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("L", [1.0, 1e30])
+    @pytest.mark.parametrize("a", CORNERS)
+    def test_absolute_family_from_k1_fails(self, monkeypatch, a, L, q):
+        # the absolute degree-q family started at k = 1 loses the k = 0 row,
+        # the whole cross-section zeta.  L = 1e-30 is exempt: that zeta is
+        # about 1e-123 there, below the rows' 1e-10 floor
+        build = spectra.product_laplacian_spectra
+
+        def absolute_from_k1(a, L, q):
+            sabs, sdir = build(a, L, q)
+            (base, _), *lower = sabs.families
+            return spectra.ProductSpectrum(a, ((base, 1), *lower)), sdir
+
+        monkeypatch.setattr(spectra, "product_laplacian_spectra", absolute_from_k1)
+        status, rows = _verify_cylinder(a, L, q)
+        assert status == 1
+        assert [k for k, r in rows.items() if r["status"] == "FAIL"] == [
+            "zeta-difference-s2", "zeta-difference-s3"]
+
+    @pytest.mark.parametrize("a", CORNERS)
+    def test_dirichlet_on_longer_interval_refused(self, monkeypatch, capsys, a):
+        # the spectra then differ in every interval row, not only at k = 0
+        build = spectra.product_laplacian_spectra
+        monkeypatch.setattr(spectra, "product_laplacian_spectra", lambda a, L, q: (
+            build(a, L, q)[0], build(a * (1 + 1e-6), L, q)[1]))
+        assert main(["verify-cylinder", "--q", "1", "--a", repr(a)]) == 4
+        assert "differ beyond their k = 0 rows" in capsys.readouterr().err
+
+    def test_reads_no_interval_mode_sum(self, monkeypatch):
+        def refuse(s, t):
+            raise RuntimeError("interval_mode_sum called")
+
+        monkeypatch.setattr(zetadet, "interval_mode_sum", refuse)
+        for q in (0, 1):
+            assert _verify_cylinder(1.0, 7.3, q)[0] == 0

@@ -446,16 +446,18 @@ def test_geometry_constant_loads_no_numpy_namespace():
 
 def test_cli_import_loads_no_numpy():
     # numpy is imported where a numeric kernel first needs it, so the
-    # derivations never load it; a cylinder check does
+    # derivations and the cylinder checks never load it; a quadrature does
     code = ("import sys\n"
             "from dtnzeta.cli import RunConfig, run\n"
             "print('numpy' in sys.modules)\n"
             "run(RunConfig(command='verify-cylinder'))\n"
+            "print('numpy' in sys.modules)\n"
+            "run(RunConfig(command='conformal-check'))\n"
             "print('numpy' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("preamble, env_size, size", [

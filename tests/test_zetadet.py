@@ -11,14 +11,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtnzeta.spectra import (
-    PowerSpectrum,
     ProductSpectrum,
     circle_form_spectrum,
     disk_steklov_spectrum,
     product_dtn_spectrum,
     product_laplacian_spectra,
 )
-from dtnzeta.zetadet import interval_mode_sum, logdet_star, zeta, zeta_at_zero
+from dtnzeta.zetadet import (_zeta_difference, interval_mode_sum, logdet_star, zeta,
+                             zeta_at_zero)
 
 
 def interval_mode_sum_direct(s: float, t: float, kmax: int = 200_000) -> tuple[float, float]:
@@ -106,8 +106,7 @@ class TestIntervalModeSum:
     @example(t=1.0)
     @example(t=4 * math.pi ** 2)
     def test_few_ulp_from_one(self, s, t):
-        # the product-lattice zeta calls the kernel at t >= 1 only, and its
-        # rounding bound allows 16 ulp per kernel value
+        # from t = 1 on, the kernel is within a few ulp of its Bessel-K form
         ref = interval_mode_sum_bessel(s, t)
         ulp = np.spacing(abs(float(ref)))
         assert abs(mp.mpf(float(interval_mode_sum(s, t))) - ref) <= 10 * ulp
@@ -167,26 +166,39 @@ class TestProductZeta:
         assert abs(zeta_at_zero(sabs).value + 1.0) < 1e-14
         assert abs(zeta_at_zero(sdir).value) < 1e-14
 
-    def test_integer_arguments_only(self):
-        sabs, _ = product_laplacian_spectra(1.0, 2 * math.pi, 0)
-        for s in (1.5, 1, 4, 5):
-            with pytest.raises(ValueError):
-                zeta(sabs, s)
-
-    def test_rejects_non_quadratic_cross_section(self):
-        base = PowerSpectrum(coeff=1.0, power=1, mult=2, kernel_dim=1)
-        with pytest.raises(ValueError):
-            zeta(ProductSpectrum(a=1.0, families=((base, 1),)), 2)
+    def test_zeta_only_at_zero(self):
+        sabs, sdir = product_laplacian_spectra(1.0, 2 * math.pi, 1)
+        for spec in (sabs, sdir):
+            for s in (-1, 0.5, 2, 3):
+                with pytest.raises(ValueError, match="s = 0 only"):
+                    zeta(spec, s)
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("a", [0.5, 3.0])
     def test_difference_is_cross_section_zeta(self, q, a):
+        # the k >= 1 rows cancel unsummed, so the difference is the circle's
+        # zeta to the last bit, and its bound does not depend on a
         sabs, sdir = product_laplacian_spectra(a, 2 * math.pi, q)
         N = circle_form_spectrum(2 * math.pi, q)
         for s in (2, 3):
-            za, zd, zn = zeta(sabs, s), zeta(sdir, s), zeta(N, s)
-            bound = za.error_bound + zd.error_bound + zn.error_bound
-            assert abs(za.value - zd.value - zn.value) < max(1e-10, 10 * bound)
+            diff, zn = _zeta_difference(sabs, sdir, s), zeta(N, s)
+            assert diff.value == zn.value
+            assert diff.error_bound == _zeta_difference(
+                *product_laplacian_spectra(1.0, 2 * math.pi, q), s).error_bound
+
+    @pytest.mark.parametrize("other", [
+        product_laplacian_spectra(1.0 + 1e-6, 2 * math.pi, 1)[1],
+        product_laplacian_spectra(1.0, 7.0, 1)[1],
+        product_laplacian_spectra(1.0, 2 * math.pi, 0)[1],
+        ProductSpectrum(1.0, ((circle_form_spectrum(2 * math.pi, 1), 2),
+                              (circle_form_spectrum(2 * math.pi, 0), 1))),
+    ], ids=["length", "circle", "degree", "second-row"])
+    def test_difference_refuses_other_spectra(self, other):
+        # only the k = 0 rows may differ: another interval, another circle,
+        # a missing family or a family from k = 2 would leave lattice rows
+        sabs, _ = product_laplacian_spectra(1.0, 2 * math.pi, 1)
+        with pytest.raises(ValueError, match="differ beyond their k = 0 rows"):
+            _zeta_difference(sabs, other, 2)
 
 
 class TestDtnZeta:
@@ -232,7 +244,7 @@ class TestDtnClosedForms:
 
 
 # ---------------------------------------------------------------------------
-# Independent reference for the product-lattice zetas
+# Independent reference for the product-lattice zeta difference
 # ---------------------------------------------------------------------------
 
 def _circle_sum(y, c, s):
@@ -244,18 +256,18 @@ def _circle_sum(y, c, s):
 
 
 @functools.lru_cache(maxsize=None)
-def _cylinder_rows(a, L, s):
-    """``(row0, rows)`` for the Laplacian on ``[0, a] x S^1_L`` at 40 digits.
+def _cylinder_rows(a, coeff, s):
+    """``(row0, rows)`` for the Laplacian on ``[0, a] x S^1`` at 40 digits.
 
-    ``rows = sum_{k>=1} sum_{n in Z} ((k pi/a)^2 + (2 pi n/L)^2)^{-s}`` sums
-    the full circle sum over the interval modes, the summation direction
-    opposite to the package's; ``row0`` is the ``k = 0`` row without the zero
-    mode.  Past ``K``, ``coth = 1`` to 50 digits and the circle sum is
-    ``(pi/c) (1/2)_{s-1}/(s-1)! y^{1/2-s}``, a Hurwitz zeta in ``k``.
+    The circle's eigenvalues are ``coeff n^2``, with ``c = sqrt(coeff)``.
+    ``rows = sum_{k>=1} sum_{n in Z} ((k pi/a)^2 + c^2 n^2)^{-s}`` sums the
+    full circle sum over the interval modes; ``row0`` is the ``k = 0`` row
+    without the zero mode.  Past ``K``, ``coth = 1`` to 50 digits and the
+    circle sum is ``(pi/c) (1/2)_{s-1}/(s-1)! y^{1/2-s}``, a Hurwitz zeta in
+    ``k``.
     """
     with mp.workdps(40):
-        a, L = mp.mpf(a), mp.mpf(L)
-        c = 2 * mp.pi / L
+        a, c = mp.mpf(a), mp.sqrt(mp.mpf(coeff))
         K = int(60 * a * c / mp.pi ** 2) + 1
         rows = mp.fsum(_circle_sum((k * mp.pi / a) ** 2, c, s) for k in range(1, K + 1))
         rows += (mp.pi / c) * mp.rf(mp.mpf(1) / 2, s - 1) / mp.factorial(s - 1) \
@@ -263,38 +275,44 @@ def _cylinder_rows(a, L, s):
         return 2 * c ** (-2 * s) * mp.zeta(2 * s), rows
 
 
-def _reference(a, L, q, s):
-    """Absolute and Dirichlet zetas: degree q = 1 adds a second family of
-    interval modes ``k >= 1`` (the circle's functions and 1-forms share one
-    spectrum)."""
-    row0, rows = _cylinder_rows(a, L, s)
+def _reference_difference(a, L, q, s):
+    """Absolute minus Dirichlet zeta, each summed over its whole lattice, at
+    40 digits.  Degree q = 1 adds a second family of interval modes
+    ``k >= 1`` to both (the circle's functions and 1-forms share one
+    spectrum).  The circle is taken at the float64 ``(2 pi/L)**2`` that the
+    spectra hold."""
+    row0, rows = _cylinder_rows(a, circle_form_spectrum(L, 0).coeff, s)
     families = 1 + q
-    return row0 + families * rows, families * rows
+    with mp.workdps(40):
+        return (row0 + families * rows) - families * rows
 
 
 REFERENCE_GRID = [(0.25, 4 * math.pi), (0.006, 2 * math.pi), (1.0, 2 * math.pi), (4.0, math.pi)]
 
 
 class TestProductZetaReference:
+    """The zeta difference read from the family lists against the two zetas
+    summed in full, the lattice rows ``k >= 1`` included."""
+
     @pytest.mark.parametrize("a,L", REFERENCE_GRID)
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("s", [2, 3])
     def test_within_error_bound(self, a, L, q, s):
-        sabs, sdir = product_laplacian_spectra(a, L, q)
-        for spec, ref in zip((sabs, sdir), _reference(a, L, q, s)):
-            z = zeta(spec, s)
+        z = _zeta_difference(*product_laplacian_spectra(a, L, q), s)
+        ref = _reference_difference(a, L, q, s)
+        with mp.workdps(40):
             assert abs(mp.mpf(z.value) - ref) <= z.error_bound
-            assert z.error_bound < 1e-13 * abs(ref)
+        assert z.error_bound < 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("a,L", REFERENCE_GRID)
     @pytest.mark.parametrize("s", [2, 3])
     def test_negative_control(self, a, L, s):
-        # a cylinder longer by one part in 1e9 must fall outside the bound.
-        # The Dirichlet zeta is used: at small a the absolute zeta is its
-        # k = 0 row, which does not depend on a.
-        _, sdir = product_laplacian_spectra(a * (1 + 1e-9), L, 0)
-        z = zeta(sdir, s)
-        assert abs(mp.mpf(z.value) - _reference(a, L, 0, s)[1]) > z.error_bound
+        # an absolute spectrum whose family starts at k = 1 loses the whole
+        # k = 0 row, and must fall outside the bound
+        sabs, sdir = product_laplacian_spectra(a, L, 0)
+        wrong = ProductSpectrum(a, ((sabs.families[0][0], 1),))
+        z = _zeta_difference(wrong, sdir, s)
+        assert abs(mp.mpf(z.value) - _reference_difference(a, L, 0, s)) > z.error_bound
 
 
 class TestComputedBounds:
